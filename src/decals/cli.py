@@ -58,6 +58,8 @@ def _versions():
 
 
 def cmd_deconvolve(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise ValueError(f"--level must be in (0, 1), got {args.level}")
     sig = io.read_signature_tsv(args.signature)
     bulk = io.read_bulk_tsv(args.bulk)
     collected: list[str] = []

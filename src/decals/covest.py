@@ -5,7 +5,10 @@ per-type covariance entries Sigma^(k)_jj'. Because estimated proportions enter
 the regressors, the moment matrix H'H and the regressor matrix H are biased;
 bias_terms computes the correction (B1, B2) implied by a Gaussian model for the
 estimation error. Correlation-scale SCAD thresholding with a cross-validated
-level sparsifies each Sigma^(k); a PSD projection restores validity.
+level sparsifies each Sigma^(k); a PSD projection restores validity. The
+cross-validation loss is exact for every grid level, computed for the whole
+grid in one pass, and streams the cell types so that it holds the p x p
+training and held-out moments of one type at a time.
 
 run_decals alternates: covariance estimates -> subject covariances -> sandwich
 covariances V_i -> new bias terms, until V stabilizes. When the corrected
@@ -32,6 +35,8 @@ from .errors import (DimensionMismatch, InsufficientSamples,
 _DIAG_FLOOR = 1e-10
 # Relative eigenvalue threshold at which H'H - B1 counts as not invertible.
 _CORRECTED_EIG_FLOOR = 1e-8
+# SCAD shape parameter (Fan & Li 2001).
+_SCAD_A = 3.7
 
 
 @dataclass
@@ -93,12 +98,17 @@ def cts_covariance_raw(H_hat, Z, pair) -> np.ndarray:
     return C @ (Z[j] * Z[jp])
 
 
+def _sym_moment(Z, c) -> np.ndarray:
+    """Symmetrized weighted residual moment 0.5*(S + S') of S = (Z*c) Z'."""
+    S = (Z * c) @ Z.T
+    return 0.5 * (S + S.T)
+
+
 def cts_covariance_raw_all(H_hat, Z) -> np.ndarray:
     """All gene pairs at once: (K, p, p) array reusing one factorization."""
     H, C = _moment_weights(H_hat)
     Z = np.asarray(Z, dtype=float)
-    out = np.stack([(Z * C[k]) @ Z.T for k in range(C.shape[0])])
-    return 0.5 * (out + out.transpose(0, 2, 1))
+    return np.stack([_sym_moment(Z, c) for c in C])
 
 
 def _bias_arrays(P, V, p):
@@ -142,11 +152,10 @@ def cts_covariance_corrected(H_hat, Z, bias: BiasTerms) -> np.ndarray:
             f"corrected moment matrix not positive definite "
             f"(eig range [{w[0]:.3e}, {w[-1]:.3e}])")
     C = np.linalg.solve(M, (H - bias.B2).T)
-    out = np.stack([(Z * C[k]) @ Z.T for k in range(C.shape[0])])
-    return 0.5 * (out + out.transpose(0, 2, 1))
+    return np.stack([_sym_moment(Z, c) for c in C])
 
 
-def scad_threshold(R, lam: float, a: float = 3.7) -> np.ndarray:
+def scad_threshold(R, lam: float, a: float = _SCAD_A) -> np.ndarray:
     """Elementwise three-branch SCAD shrinkage of off-diagonal entries.
 
     |r| <= 2*lam: soft threshold sign(r)*max(|r|-lam, 0); 2*lam < |r| <= a*lam:
@@ -184,15 +193,92 @@ def _sparsify(S, lam):
     return qp.nearest_psd(T * np.outer(rd, rd))
 
 
+def _scad_grid_loss(r, s, h, grid) -> np.ndarray:
+    """sum((scad(r, lam) * s - h)**2) over 1-D entry arrays, for every level.
+
+    For one entry with A = |r|, v = sign(r)*s and u = r*s the fit is
+    piecewise linear in lam: 0 for A <= lam, u - v*lam up to 2*lam,
+    c*u + (1-2c)*v*lam up to a*lam (a = _SCAD_A, c = (a-1)/(a-2)), and u
+    beyond, so its squared error is a quadratic in lam on each piece.
+    Binning A against the sorted 3G breakpoints, which are the floats
+    scad_threshold compares against, and prefix-summing the six coefficient
+    sums per bin yields every level's loss in one pass."""
+    G = grid.size
+    A = np.abs(r)
+    u = r * s
+    v = np.sign(r) * s
+    a = _SCAD_A
+    c = (a - 1.0) / (a - 2.0)
+    e = u - h                                  # error of the kept entry
+    m = c * u - h
+    breaks = np.concatenate([grid, 2.0 * grid, a * grid])
+    # stable: a level's three breakpoints keep their order even when equal
+    order = np.argsort(breaks, kind="stable")
+    rank = np.empty(3 * G, dtype=np.intp)
+    rank[order] = np.arange(3 * G)
+    # bin b holds the entries that exceed exactly b sorted breakpoints
+    b = np.searchsorted(breaks[order], A, side="left")
+    cum = np.cumsum([np.bincount(b, weights=w, minlength=3 * G + 1)
+                     for w in (h * h, e * e, e * v, v * v, m * m, m * v)],
+                    axis=1)
+    c0, c1, c2 = cum[:, rank[:G]], cum[:, rank[G:2 * G]], cum[:, rank[2 * G:]]
+    # sums over lam < A <= 2*lam and over 2*lam < A <= a*lam
+    soft, mid = c1 - c0, c2 - c1
+    q = 1.0 - 2.0 * c
+    return (c0[0]
+            + soft[1] - 2.0 * grid * soft[2] + grid ** 2 * soft[3]
+            + mid[4] + 2.0 * q * grid * mid[5] + (q * grid) ** 2 * mid[3]
+            + (cum[1, -1] - c2[1]))
+
+
+def _cv_losses(Z, H, folds: int, grid, seed: int) -> np.ndarray:
+    """(K, G) held-out Frobenius loss of each type's thresholded training
+    estimate, summed over the folds.
+
+    Streams one type at a time: only that type's training and held-out
+    p x p moments are alive, and each is reduced to its upper triangle (the
+    loss is symmetric) plus a diagonal term that does not depend on lam."""
+    n, K = H.shape
+    p = Z.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    fold_ids = np.array_split(rng.permutation(n), folds)
+    up = np.triu(np.ones((p, p), dtype=bool), 1)
+    losses = np.zeros((K, grid.size))
+    for hold in fold_ids:
+        mask = np.ones(n, dtype=bool)
+        mask[hold] = False
+        Z_tr, Z_ho = Z[:, mask], Z[:, ~mask]
+        _, C_tr = _moment_weights(H[mask])
+        _, C_ho = _moment_weights(H[~mask])
+        for k in range(K):
+            R, rd = _to_correlation(_sym_moment(Z_tr, C_tr[k]))
+            S_ho = _sym_moment(Z_ho, C_ho[k])
+            diag = ((rd * rd - np.diagonal(S_ho)) ** 2).sum()
+            off = _scad_grid_loss(R[up], np.outer(rd, rd)[up], S_ho[up], grid)
+            losses[k] += diag + 2.0 * off
+    return losses
+
+
 def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0
                           ) -> np.ndarray:
     """Per-type SCAD level minimizing held-out Frobenius loss.
 
     Samples are split into `folds` groups by a seeded permutation. For each
     fold, the thresholded training estimate is compared to the raw held-out
-    estimate; the per-type grid value with the smallest summed loss wins."""
+    estimate; the per-type grid value with the smallest summed loss wins.
+    The loss is exact for every grid level and is computed for the whole
+    grid in one pass per fold and type."""
     Z = np.asarray(Z, dtype=float)
     H = np.asarray(H_hat, dtype=float)
+    if grid is None:
+        grid = np.logspace(np.log10(0.01), 0.0, 20)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"grid must be a non-empty 1-D sequence of levels, "
+                         f"got shape {grid.shape}")
+    if not (np.isfinite(grid) & (grid >= 0.0)).all():
+        raise ValueError(f"grid levels must be finite and >= 0, "
+                         f"got {grid.tolist()}")
     n, K = H.shape
     # every holdout fold must support its own rank-K moment regression
     need = folds * max(2, K)
@@ -200,24 +286,7 @@ def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0
         raise InsufficientSamples(
             f"need n >= {need} for {folds}-fold cross-validation with "
             f"K={K}, got {n}")
-    if grid is None:
-        grid = np.logspace(np.log10(0.01), 0.0, 20)
-    grid = np.asarray(grid, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    fold_ids = np.array_split(rng.permutation(n), folds)
-    losses = np.zeros((K, len(grid)))
-    for hold in fold_ids:
-        mask = np.ones(n, dtype=bool)
-        mask[hold] = False
-        S_tr = cts_covariance_raw_all(H[mask], Z[:, mask])
-        S_ho = cts_covariance_raw_all(H[~mask], Z[:, ~mask])
-        for k in range(K):
-            R, rd = _to_correlation(S_tr[k])
-            scale = np.outer(rd, rd)
-            for g, lam in enumerate(grid):
-                fit = scad_threshold(R, lam) * scale
-                losses[k, g] += ((fit - S_ho[k]) ** 2).sum()
-    return grid[np.argmin(losses, axis=1)]
+    return grid[np.argmin(_cv_losses(Z, H, folds, grid, seed), axis=1)]
 
 
 def subject_covariance(proportions, cts: CtsCovarianceSet | np.ndarray
@@ -252,6 +321,15 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
         raise InsufficientSamples(f"need n >= K for the moment regression, got n={n}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if lambdas is not None:
+        lambdas = np.asarray(lambdas, dtype=float)
+        if lambdas.shape != (K,):
+            raise DimensionMismatch(
+                f"lambdas has shape {lambdas.shape}; need one SCAD level per "
+                f"cell type, shape ({K},)")
+        if not (np.isfinite(lambdas) & (lambdas >= 0.0)).all():
+            raise ValueError(f"lambdas must be finite and >= 0, "
+                             f"got {lambdas.tolist()}")
     run_warnings: list[str] = []
 
     pis = estimate_proportions(W, Y)
@@ -272,7 +350,6 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
             raise InsufficientSamples(
                 f"{err}; too few samples to cross-validate the threshold "
                 f"level, pass fixed `lambdas` instead") from None
-    lambdas = None if lambdas is None else np.asarray(lambdas, dtype=float)
 
     tripped = False
     converged = False

@@ -22,7 +22,7 @@ from scipy import stats
 
 from . import qp
 from .covest import run_decals
-from .deconv import constraint_projector, theorem1_covariance
+from .deconv import constraint_projector
 from .errors import (DecalsError, DimensionMismatch, DivisibilityError,
                      NonPositiveMean, NonPsd)
 from .gls import gls_covariance, run_gls_iterative, solve_gls

@@ -94,6 +94,22 @@ def test_deconvolve_interval_levels(noiseless_data, tmp_path):
     assert len(lines) == 1 + 20 * 3
 
 
+@pytest.mark.parametrize("extra, cause", [
+    (["--scad-lambda", "0.1", "0.2"], "lambdas has shape (2,)"),
+    (["--scad-lambda", "0.1", "0.2", "0.3", "0.4"], "lambdas has shape (4,)"),
+    (["--scad-lambda", "0.1", "-0.2", "0.3"], "lambdas must be"),
+    (["--level", "1.5"], "--level must be in (0, 1)"),
+])
+def test_deconvolve_rejects_bad_options_before_writing(
+        noiseless_data, tmp_path, capsys, extra, cause):
+    root, _, _ = noiseless_data
+    out = tmp_path / "res"
+    assert _deconvolve(root, out, extra) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and cause in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_deconvolve_rejects_disjoint_genes(noiseless_data, tmp_path, capsys):
     root, _, _ = noiseless_data
     bad = tmp_path / "bad_bulk.tsv"

@@ -17,9 +17,41 @@ from decals.covest import (BiasTerms, bias_terms, cross_validate_lambda,
                            cts_covariance_corrected, cts_covariance_raw,
                            cts_covariance_raw_all, residuals, run_decals,
                            scad_threshold, subject_covariance)
-from decals.deconv import ProportionEstimate
-from decals.errors import (InsufficientSamples, NonConvergenceWarning,
-                           SingularCorrectedMoment, SingularMomentMatrix)
+from decals.deconv import ProportionEstimate, estimate_proportions
+from decals.errors import (DimensionMismatch, InsufficientSamples,
+                           NonConvergenceWarning, SingularCorrectedMoment,
+                           SingularMomentMatrix)
+from decals.simgen import SimConfig, replicate_dataset, replicate_rng
+
+DEFAULT_GRID = np.logspace(np.log10(0.01), 0.0, 20)
+
+
+def _brute_grid_loss(R, scale, S_ho, grid):
+    """Reference: threshold the full matrix once per level."""
+    return np.array([((scad_threshold(R, lam) * scale - S_ho) ** 2).sum()
+                     for lam in grid])
+
+
+def _brute_cv_losses(Z, H, folds, grid, seed):
+    """Reference (K, G) cross-validation losses: the per-level grid loop."""
+    n, K = H.shape
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    fold_ids = np.array_split(rng.permutation(n), folds)
+    losses = np.zeros((K, len(grid)))
+    for hold in fold_ids:
+        mask = np.ones(n, dtype=bool)
+        mask[hold] = False
+        S_tr = cts_covariance_raw_all(H[mask], Z[:, mask])
+        S_ho = cts_covariance_raw_all(H[~mask], Z[:, ~mask])
+        for k in range(K):
+            R, rd = covest._to_correlation(S_tr[k])
+            losses[k] += _brute_grid_loss(R, np.outer(rd, rd), S_ho[k], grid)
+    return losses
+
+
+def _assert_matches_oracle(got, ref):
+    assert_allclose(got, ref, rtol=1e-12, atol=0)
+    assert (np.argmin(got, axis=-1) == np.argmin(ref, axis=-1)).all()
 
 
 def test_residuals_loop_oracle():
@@ -156,6 +188,71 @@ def test_cv_lambda_contracts():
         cross_validate_lambda(Z[:, :8], H[:8])
 
 
+@pytest.mark.parametrize("grid", [[], [[0.1, 0.2]], 0.3, [0.1, -0.2],
+                                  [0.1, np.nan], [np.inf]])
+def test_cv_rejects_bad_grid(grid):
+    rng = np.random.default_rng(6)
+    H = rng.dirichlet([2, 1], 40) ** 2
+    Z = rng.normal(0, 1, (10, 40))
+    with pytest.raises(ValueError, match="grid"):
+        cross_validate_lambda(Z, H, grid=grid)
+
+
+@pytest.mark.parametrize("grid", [
+    [0.1], [0.0, 0.1, 0.5], [0.5, 0.01, 0.2, 0.0, 1.0], [0.2, 0.2, 0.05],
+    [0.95, 0.99]])
+def test_grid_loss_edge_cases_match_oracle(grid):
+    # entries exactly at each breakpoint lam, 2*lam, a*lam up to 0.9 (both
+    # signs), zeros, and the rest random below 0.9. A repeated level and
+    # [0.95, 0.99], which kills every entry, give exactly tied losses.
+    grid = np.asarray(grid, dtype=float)
+    rng = np.random.default_rng(13)
+    at = np.concatenate([grid, 2.0 * grid, covest._SCAD_A * grid])
+    at = at[at <= 0.9]
+    vals = np.concatenate([at, -at, [0.0, 0.0],
+                           rng.uniform(-0.9, 0.9, 40)])
+    p = 16
+    iu = np.triu_indices(p, 1)
+    R = np.eye(p)
+    R[iu] = np.resize(vals, iu[0].size)
+    R = np.triu(R) + np.triu(R, 1).T
+    rd = rng.uniform(0.5, 2.0, p)
+    scale = np.outer(rd, rd)
+    A = rng.normal(0, 1, (p, p))
+    S_ho = 0.5 * (A + A.T)
+    ref = _brute_grid_loss(R, scale, S_ho, grid)
+    diag = ((rd * rd - np.diag(S_ho)) ** 2).sum()
+    got = diag + 2.0 * covest._scad_grid_loss(R[iu], scale[iu], S_ho[iu], grid)
+    _assert_matches_oracle(got, ref)
+
+
+@pytest.mark.parametrize("grid", [
+    DEFAULT_GRID, [0.3], [0.0, 0.1, 0.5], [0.5, 0.01, 0.2, 0.0, 1.0]])
+def test_cv_losses_match_oracle(grid):
+    rng = np.random.default_rng(6)
+    p, K, n = 12, 3, 60
+    H = rng.dirichlet([3, 2, 1], n) ** 2
+    Z = rng.normal(0, 1, (p, n)) * np.sqrt(H.sum(axis=1))
+    grid = np.asarray(grid, dtype=float)
+    _assert_matches_oracle(covest._cv_losses(Z, H, 5, grid, 3),
+                           _brute_cv_losses(Z, H, 5, grid, 3))
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_cv_matches_oracle_on_simulated_replicates(scale):
+    p, n = {"desk": (150, 200), "paper": (300, 500)}[scale]
+    config = SimConfig(p=p, n=n)
+    for r in range(10):
+        _, Wobs, _, Y, _ = replicate_dataset(config, replicate_rng(0, r))
+        P = np.stack(estimate_proportions(Wobs, Y))
+        Z, H = residuals(Wobs, Y, P), P ** 2
+        ref = _brute_cv_losses(Z, H, 5, DEFAULT_GRID, 0)
+        _assert_matches_oracle(covest._cv_losses(Z, H, 5, DEFAULT_GRID, 0),
+                               ref)
+        assert_allclose(cross_validate_lambda(Z, H),
+                        DEFAULT_GRID[np.argmin(ref, axis=1)], atol=0)
+
+
 def test_cv_prefers_heavy_thresholding_for_diagonal_truth():
     # truth is diagonal, so large thresholds win the held-out loss
     rng = np.random.default_rng(7)
@@ -215,6 +312,10 @@ def test_run_decals_small_n_needs_fixed_lambdas():
     W, P, Y = _sim(rng, n=12)
     with pytest.raises(InsufficientSamples, match="fixed"):
         run_decals(W, Y)
+    with pytest.raises(DimensionMismatch, match="lambdas"):
+        run_decals(W, Y, lambdas=[0.5, 0.5])
+    with pytest.raises(ValueError, match="lambdas"):
+        run_decals(W, Y, lambdas=[0.5, np.nan, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = run_decals(W, Y, lambdas=[0.5, 0.5, 0.5])
