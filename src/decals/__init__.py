@@ -14,8 +14,8 @@ from .covest import (BiasTerms, CtsCovarianceSet, DecalsResult, bias_terms,
                      cts_covariance_raw, run_decals, scad_threshold,
                      subject_covariance)
 from .deconv import (BulkMatrix, ProportionEstimate, SignatureMatrix,
-                     SubjectCovariance, align_genes, confidence_intervals,
-                     estimate_proportions, ols_baseline, theorem1_covariance)
+                     align_genes, confidence_intervals, estimate_proportions,
+                     sandwich, theorem1_covariance, wald_intervals)
 from .downstream import (CallDecision, ProportionDrawSet, aggregate_calls,
                          call_cutoff, sample_proportion_sets)
 from .errors import DecalsError, NonConvergenceWarning
@@ -30,9 +30,9 @@ __all__ = [
     "BiasTerms", "CtsCovarianceSet", "DecalsResult", "bias_terms",
     "cross_validate_lambda", "cts_covariance_corrected", "cts_covariance_raw",
     "run_decals", "scad_threshold", "subject_covariance",
-    "BulkMatrix", "ProportionEstimate", "SignatureMatrix", "SubjectCovariance",
+    "BulkMatrix", "ProportionEstimate", "SignatureMatrix",
     "align_genes", "confidence_intervals", "estimate_proportions",
-    "ols_baseline", "theorem1_covariance",
+    "sandwich", "theorem1_covariance", "wald_intervals",
     "CallDecision", "ProportionDrawSet", "aggregate_calls", "call_cutoff",
     "sample_proportion_sets",
     "DecalsError", "NonConvergenceWarning",

@@ -4,7 +4,7 @@ Subcommands: deconvolve (signature + bulk -> proportions with uncertainty),
 simulate (seeded coverage and covariance-error studies), sample (resample
 proportion sets from a deconvolution run), aggregate (per-draw p-values ->
 final calls). Input formats are documented in FORMATS.md. Exit codes: 0 ok,
-2 input error, 3 numerical error.
+2 input error, 3 numerical error (linear-algebra failures included).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, io
 from .covest import run_decals
-from .deconv import align_genes, confidence_intervals
+from .deconv import align_genes, wald_intervals
 from .downstream import aggregate_calls, sample_proportion_sets
 from .errors import (DecalsError, DimensionMismatch, DivisibilityError,
                      GeneMismatch, InsufficientSamples, NonFinite,
@@ -28,7 +28,8 @@ from .simgen import SimConfig, coverage_experiment, v_error_study
 
 EXIT_OK, EXIT_INPUT, EXIT_NUMERIC = 0, 2, 3
 
-# bad files or configuration; everything else DecalsError is numerical
+# bad files or configuration; everything else DecalsError is numerical, and
+# so is np.linalg.LinAlgError although it subclasses ValueError
 _INPUT_ERRORS = (ParseError, GeneMismatch, DimensionMismatch, NonFinite,
                  DivisibilityError, InsufficientSamples, NonPositiveMean,
                  ValueError)
@@ -57,9 +58,19 @@ def _versions():
             "python": ".".join(map(str, sys.version_info[:3]))}
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"--level must be in (0, 1), got {level}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_deconvolve(args) -> int:
-    if not 0.0 < args.level < 1.0:
-        raise ValueError(f"--level must be in (0, 1), got {args.level}")
+    _check_level(args.level)
+    _check_seed(args.seed)
     sig = io.read_signature_tsv(args.signature)
     bulk = io.read_bulk_tsv(args.bulk)
     collected: list[str] = []
@@ -77,12 +88,12 @@ def cmd_deconvolve(args) -> int:
     cts = sig.cell_types
     io.write_proportions_csv(os.path.join(args.out, "proportions.csv"),
                              ids, cts, P)
+    V = np.stack([e.covariance for e in res.estimates])
     io.write_covariances_json(os.path.join(args.out, "covariances.json"),
-                              ids, cts, [e.covariance for e in res.estimates])
-    ci = np.stack([confidence_intervals(e, args.level)
-                   for e in res.estimates])
+                              ids, cts, V)
+    lo, hi = wald_intervals(P, np.einsum('nkk->nk', V), args.level)
     io.write_intervals_csv(os.path.join(args.out, "intervals.csv"),
-                           ids, cts, P, ci[:, :, 0], ci[:, :, 1])
+                           ids, cts, P, lo, hi)
     meta = {
         "command": "deconvolve",
         "signature": args.signature,
@@ -132,6 +143,7 @@ def _print_report(report) -> None:
 
 
 def cmd_simulate(args) -> int:
+    _check_level(args.level)
     os.makedirs(args.out, exist_ok=True)
     if args.preset == "tableS1":
         sizes = _SCALES[args.scale]
@@ -144,7 +156,7 @@ def cmd_simulate(args) -> int:
                 l, m = table.entries[e]
                 rows.append([str(r.p), io.fmt_csv(r.signature_sd), r.method,
                              f"{l}{m}", io.fmt_csv(mu), io.fmt_csv(se)])
-        io._write_csv_rows(os.path.join(args.out, "verror.csv"), rows)
+        io.write_csv_rows(os.path.join(args.out, "verror.csv"), rows)
         print(f"{'p':>5}{'sd':>6}  {'method':<8}"
               + "".join(f"{a}{b:>9}" for a, b in table.entries))
         for r in table.rows:
@@ -176,12 +188,13 @@ def cmd_simulate(args) -> int:
                                   io.fmt_csv(report.mean_width[k]),
                                   io.fmt_csv(report.mean_abs_error[k])])
             _print_report(report)
-    io._write_csv_rows(os.path.join(args.out, f"plot_{args.preset}.csv"),
-                       plot_rows)
+    io.write_csv_rows(os.path.join(args.out, f"plot_{args.preset}.csv"),
+                      plot_rows)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
+    _check_seed(args.seed)
     ests, cell_types = io.load_estimates(args.results)
     ds = sample_proportion_sets(ests, args.draws, seed=args.seed,
                                 cell_types=cell_types)
@@ -298,6 +311,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as err:
+        print(f"numerical error: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import qp
 from .deconv import (ProportionEstimate, constraint_projector,
-                     estimate_proportions, _sample_ids, _values, BOUNDARY_TOL)
+                     estimate_proportions, sandwich, _package_estimates,
+                     _sample_ids, _values)
 from .errors import (DimensionMismatch, InsufficientSamples,
                      NonConvergenceWarning, SingularCorrectedMoment,
                      SingularMomentMatrix)
@@ -83,10 +84,7 @@ def residuals(W, Y, proportions) -> np.ndarray:
 def _moment_weights(H_hat):
     H = np.asarray(H_hat, dtype=float)
     M = H.T @ H
-    w = np.linalg.eigvalsh(M)
-    if w[0] <= 1e-12 * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise SingularMomentMatrix(
-            f"H'H numerically singular (eig range [{w[0]:.3e}, {w[-1]:.3e}])")
+    qp.check_pd(M, 1e-12, SingularMomentMatrix, "H'H numerically singular")
     return H, np.linalg.solve(M, H.T)        # C: (K, n)
 
 
@@ -146,11 +144,8 @@ def cts_covariance_corrected(H_hat, Z, bias: BiasTerms) -> np.ndarray:
     H = np.asarray(H_hat, dtype=float)
     Z = np.asarray(Z, dtype=float)
     M = H.T @ H - bias.B1
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if w[0] <= _CORRECTED_EIG_FLOOR * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise SingularCorrectedMoment(
-            f"corrected moment matrix not positive definite "
-            f"(eig range [{w[0]:.3e}, {w[-1]:.3e}])")
+    qp.check_pd(0.5 * (M + M.T), _CORRECTED_EIG_FLOOR, SingularCorrectedMoment,
+                "corrected moment matrix not positive definite")
     C = np.linalg.solve(M, (H - bias.B2).T)
     return np.stack([_sym_moment(Z, c) for c in C])
 
@@ -291,13 +286,15 @@ def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0
 
 def subject_covariance(proportions, cts: CtsCovarianceSet | np.ndarray
                        ) -> np.ndarray:
-    """Subject-level error covariance: sum_k pi_k^2 Sigma^(k)."""
+    """Subject-level error covariance sum_k pi_k^2 Sigma^(k).
+
+    Proportions of shape (..., K) give covariances of shape (..., p, p)."""
     pi = np.asarray(proportions, dtype=float)
     M = np.asarray(getattr(cts, "matrices", cts), dtype=float)
-    if pi.shape[0] != M.shape[0]:
+    if pi.shape[-1] != M.shape[0]:
         raise DimensionMismatch(
-            f"{pi.shape[0]} proportions vs {M.shape[0]} covariance matrices")
-    return np.einsum('k,kpq->pq', pi ** 2, M)
+            f"{pi.shape[-1]} proportions vs {M.shape[0]} covariance matrices")
+    return np.einsum('...k,kpq->...pq', pi ** 2, M)
 
 
 def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
@@ -332,8 +329,7 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
                              f"got {lambdas.tolist()}")
     run_warnings: list[str] = []
 
-    pis = estimate_proportions(W, Y)
-    P = np.stack(pis)
+    P = estimate_proportions(W, Y)
     H = P ** 2
     Z = residuals(Wv, Yv, P)
     U, Omi = constraint_projector(Wv)
@@ -376,10 +372,7 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
             Sk[k, di, di] = np.maximum(Sk[k, di, di], _DIAG_FLOOR)
             if sparse:
                 Sk[k] = _sparsify(Sk[k], lambdas[k])
-        Gk = np.stack([Wv.T @ Sk[k] @ Wv / p for k in range(K)])
-        A = np.einsum('ab,kbc,cd->kad', Omi, Gk, Omi)
-        Vn = np.einsum('ab,nbc,dc->nad', U, np.einsum('nk,kab->nab', H, A), U)
-        Vn = 0.5 * (Vn + Vn.transpose(0, 2, 1))
+        Vn = sandwich(Wv, Sk, H)
         delta = (np.abs(Vn - V).max(axis=(1, 2))
                  / (1.0 + np.abs(V).max(axis=(1, 2)))).max()
         V = Vn
@@ -391,15 +384,7 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
         run_warnings.append(msg)
         warnings.warn(msg, NonConvergenceWarning)
 
-    ids = _sample_ids(Y, n)
-    estimates = []
-    for i in range(n):
-        est = ProportionEstimate(P[i], V[i] / p, ids[i])
-        if P[i].min() < BOUNDARY_TOL:
-            est.warnings.append(
-                "proportion at the simplex boundary; normal approximation "
-                "may be unreliable")
-        estimates.append(est)
+    estimates = _package_estimates(P, V / p, _sample_ids(Y, n))
     cell_types = list(getattr(W, "cell_types", [str(k) for k in range(K)]))
     return DecalsResult(estimates, CtsCovarianceSet(Sk, cell_types),
                         iterations, converged, lambdas, run_warnings)

@@ -3,9 +3,11 @@
 Estimation solves a simplex-constrained least squares per sample. The sampling
 covariance of the estimator follows the sandwich form V = U D U' built from the
 design Gram matrix and a subject-level residual covariance; V has null vector 1
-because the sum-to-one constraint removes variation along it. V is scaled so
-that V/p is the covariance of the estimate itself; ProportionEstimate stores
-the /p scale since that is what intervals use.
+because the sum-to-one constraint removes variation along it. `sandwich`
+builds V for every sample at once at the sqrt(p) scale, so that V/p is the
+covariance of the estimate itself; ProportionEstimate stores the /p scale
+since that is what intervals use, and `wald_intervals` builds them for every
+sample at once.
 """
 
 from __future__ import annotations
@@ -69,18 +71,11 @@ class ProportionEstimate:
 
     `covariance` is the covariance of the estimate (the /p scale used for
     interval construction). For the constrained estimator it is PSD with
-    null vector 1; the unconstrained baseline does not satisfy those."""
+    null vector 1."""
     proportions: np.ndarray
     covariance: np.ndarray
     sample_id: str = ""
     warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
-class SubjectCovariance:
-    """p x p covariance of the bulk-level error for one sample."""
-    values: np.ndarray
-    sample_id: str = ""
 
 
 def _values(x):
@@ -121,17 +116,18 @@ def _sample_ids(Y, n):
     return list(ids) if ids is not None else [str(i) for i in range(n)]
 
 
-def estimate_proportions(W, Y) -> list[np.ndarray]:
-    """Simplex-constrained least-squares proportions, one vector per sample."""
+def estimate_proportions(W, Y) -> np.ndarray:
+    """Simplex-constrained least-squares proportions, shape (n, K): row i is
+    sample i's estimate."""
     Wv, Yv = _values(W), _values(Y)
     if Wv.shape[0] != Yv.shape[0]:
         raise GeneMismatch(
             f"gene dimension mismatch: signature {Wv.shape[0]} vs bulk {Yv.shape[0]}")
     ids = _sample_ids(Y, Yv.shape[1])
-    out = []
+    out = np.empty((Yv.shape[1], Wv.shape[1]))
     for i in range(Yv.shape[1]):
         try:
-            out.append(qp.solve_simplex_ls(Wv, Yv[:, i]))
+            out[i] = qp.solve_simplex_ls(Wv, Yv[:, i])
         except DecalsError as err:
             raise type(err)(f"sample {ids[i]}: {err}") from err
     return out
@@ -146,9 +142,7 @@ def constraint_projector(W) -> tuple[np.ndarray, np.ndarray]:
     Wv = _values(W)
     p, K = Wv.shape
     Om = Wv.T @ Wv / p
-    w = np.linalg.eigvalsh(Om)
-    if w[0] <= 1e-10 * w[-1] or w[-1] <= 0.0:
-        raise SingularDesign("W'W numerically singular")
+    qp.check_pd(Om, 1e-10, SingularDesign, "W'W numerically singular")
     Omi = np.linalg.inv(Om)
     ones = np.ones(K)
     s = Omi @ ones
@@ -156,53 +150,58 @@ def constraint_projector(W) -> tuple[np.ndarray, np.ndarray]:
     return U, Omi
 
 
-def theorem1_covariance(W, Sigma_i) -> np.ndarray:
-    """Asymptotic covariance V of sqrt(p) * (estimate - truth).
+def sandwich(W, S, H) -> np.ndarray:
+    """Sandwich covariances V_i of sqrt(p) * (estimate - truth), shape (n, K, K).
 
-    V = U D U' with D = Omega^{-1} (W' Sigma_i W / p) Omega^{-1}. Symmetric,
-    PSD, and V 1 = 0. Divide by p for the covariance of the estimate.
-    """
+    V_i = U D_i U' with D_i = sum_k H_ik Omega^{-1} (W' S_k W / p) Omega^{-1}
+    for error covariances S (m, p, p) and weights H (n, m); with S the
+    per-type covariances and H the squared proportions, sum_k H_ik S_k is
+    sample i's subject covariance. Symmetric, PSD, and V_i 1 = 0. Divide by
+    p for the covariance of the estimate."""
+    Wv = _values(W)
+    p = Wv.shape[0]
+    U, Omi = constraint_projector(Wv)
+    G = np.stack([Wv.T @ Sk @ Wv / p for Sk in S])
+    A = np.einsum('ab,kbc,cd->kad', Omi, G, Omi)
+    V = np.einsum('ab,nbc,dc->nad', U, np.einsum('nk,kab->nab', H, A), U)
+    return 0.5 * (V + V.transpose(0, 2, 1))
+
+
+def theorem1_covariance(W, Sigma_i) -> np.ndarray:
+    """Asymptotic covariance V of sqrt(p) * (estimate - truth) for one sample
+    with subject covariance Sigma_i: the one-sample `sandwich`."""
     Wv, Sv = _values(W), _values(Sigma_i)
     p = Wv.shape[0]
     if Sv.shape != (p, p):
         raise DimensionMismatch(
             f"subject covariance {Sv.shape} does not match p={p}")
-    U, Omi = constraint_projector(Wv)
-    D = Omi @ (Wv.T @ Sv @ Wv / p) @ Omi
-    V = U @ D @ U.T
-    return 0.5 * (V + V.T)
+    return sandwich(Wv, Sv[None], np.ones((1, 1)))[0]
 
 
-def confidence_intervals(est: ProportionEstimate, level: float = 0.95) -> np.ndarray:
-    """Per-coordinate Wald intervals, truncated to [0, 1]. Shape (K, 2)."""
+def wald_intervals(P, var, level: float):
+    """Wald intervals estimate +- z * sd, truncated to [0, 1].
+
+    P and var (per-coordinate variances, negatives read as 0) share any
+    shape; returns (lower, upper) of that shape."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
     z = stats.norm.ppf(0.5 * (1.0 + level))
-    pi = np.asarray(est.proportions, dtype=float)
-    var = np.clip(np.diag(np.asarray(est.covariance, dtype=float)), 0.0, None)
-    half = z * np.sqrt(var)
-    lo = np.clip(pi - half, 0.0, 1.0)
-    hi = np.clip(pi + half, 0.0, 1.0)
-    return np.column_stack([lo, hi])
+    half = z * np.sqrt(np.clip(var, 0.0, None))
+    return np.clip(P - half, 0.0, 1.0), np.clip(P + half, 0.0, 1.0)
 
 
-def ols_baseline(W, Y) -> list[ProportionEstimate]:
-    """Unconstrained least-squares proportions with the iid-error covariance.
+def confidence_intervals(est: ProportionEstimate, level: float = 0.95) -> np.ndarray:
+    """Per-coordinate Wald intervals of one estimate, truncated to [0, 1].
+    Shape (K, 2)."""
+    var = np.diag(np.asarray(est.covariance, dtype=float))
+    return np.column_stack(wald_intervals(est.proportions, var, level))
 
-    No simplex projection: entries may be negative or exceed one. Covariance is
-    sigma2_i * (W'W)^{-1} with sigma2_i = RSS_i / (p - K), the classical formula
-    that ignores gene-gene correlation.
-    """
-    Wv, Yv = _values(W), _values(Y)
-    p, K = Wv.shape
-    G = Wv.T @ Wv
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= 1e-10 * w[-1] or w[-1] <= 0.0:
-        raise SingularDesign("W'W numerically singular")
-    Gi = np.linalg.inv(G)
-    B = Gi @ (Wv.T @ Yv)                     # K x n
-    R = Yv - Wv @ B
-    s2 = (R * R).sum(axis=0) / (p - K)
-    ids = _sample_ids(Y, Yv.shape[1])
-    return [ProportionEstimate(B[:, i].copy(), s2[i] * Gi, ids[i])
-            for i in range(Yv.shape[1])]
+
+def _package_estimates(P, V, ids) -> list[ProportionEstimate]:
+    """One ProportionEstimate per row of P (n, K) with covariance V[i] at the
+    /p scale; an estimate with an entry below BOUNDARY_TOL carries a warning."""
+    msg = ("proportion at the simplex boundary; normal approximation may be "
+           "unreliable")
+    return [ProportionEstimate(P[i].copy(), V[i], sid,
+                               [msg] if P[i].min() < BOUNDARY_TOL else [])
+            for i, sid in enumerate(ids)]

@@ -1,5 +1,7 @@
 """Constrained generalized least squares: whitened fits, their covariance, and
 the iterative variant that re-estimates subject covariances between passes.
+Both the one-sample covariance and the iterative variant use one batched
+covariance kernel.
 
 This is a comparison arm. The iterative variant feeds the raw (uncorrected,
 unthresholded) covariance estimates back into the whitening step; those raw
@@ -16,8 +18,10 @@ import warnings
 import numpy as np
 
 from . import qp
-from .covest import (CtsCovarianceSet, DecalsResult, cts_covariance_raw_all)
-from .deconv import ProportionEstimate, _sample_ids, _values, BOUNDARY_TOL
+from .covest import (CtsCovarianceSet, DecalsResult, cts_covariance_raw_all,
+                     subject_covariance)
+from .deconv import (estimate_proportions, _package_estimates, _sample_ids,
+                     _values)
 from .errors import NonConvergenceWarning, NonFinite, SingularDesign, SingularSigma
 
 # Eigenvalues below this fraction of the largest are floored before inversion.
@@ -50,6 +54,20 @@ def solve_gls(W, y, Sigma_i) -> np.ndarray:
     return qp.solve_simplex_ls(Ww, yw)
 
 
+def _whitened_gram(Wv, w, Q) -> np.ndarray:
+    """A = W' Sigma^{-1} W for floored eigenpairs w (m, p), Q (m, p, p)."""
+    QtW = Q.transpose(0, 2, 1) @ Wv
+    return QtW.transpose(0, 2, 1) @ (QtW / w[:, :, None])
+
+
+def _gls_cov(A, p) -> np.ndarray:
+    """p * (A^{-1} - A^{-1} 1 (1' A^{-1} 1)^{-1} 1' A^{-1}) per (K, K) slice."""
+    Ai = np.linalg.inv(A)
+    s = Ai @ np.ones(A.shape[-1])
+    V = p * (Ai - s[:, :, None] * s[:, None, :] / s.sum(axis=1)[:, None, None])
+    return 0.5 * (V + V.transpose(0, 2, 1))
+
+
 def gls_covariance(W, Sigma_i) -> np.ndarray:
     """Covariance (times p) of the whitened constrained estimator.
 
@@ -58,16 +76,10 @@ def gls_covariance(W, Sigma_i) -> np.ndarray:
     """
     w, Q = _floored_eig(Sigma_i)
     Wv = _values(W)
-    p, K = Wv.shape
-    QtW = Q.T @ Wv
-    A = QtW.T @ (QtW / w[:, None])
-    ev = np.linalg.eigvalsh(A)
-    if ev[0] <= 1e-12 * max(ev[-1], 0.0) or ev[-1] <= 0.0:
-        raise SingularDesign("whitened design W' Sigma^{-1} W is singular")
-    Ai = np.linalg.inv(A)
-    s = Ai @ np.ones(K)
-    V = p * (Ai - np.outer(s, s) / s.sum())
-    return 0.5 * (V + V.T)
+    A = _whitened_gram(Wv, w[None], Q[None])
+    qp.check_pd(A[0], 1e-12, SingularDesign,
+                "whitened design W' Sigma^{-1} W is singular")
+    return _gls_cov(A, Wv.shape[0])[0]
 
 
 def _chunks(n, p):
@@ -90,10 +102,8 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
     n = Yv.shape[1]
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    ones = np.ones(K)
     run_warnings: list[str] = []
 
-    est = np.empty((n, K))
     V = np.empty((n, K, K))
     eig = None                               # floored eigh of each Sigma_i
     Vprev = None
@@ -103,8 +113,7 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
     for t in range(max_iter):
         iterations = t + 1
         if eig is None:
-            for i in range(n):
-                est[i] = qp.solve_simplex_ls(Wv, Yv[:, i])
+            est = estimate_proportions(Wv, Yv)
         else:
             for idx, (w, Q) in zip(_chunks(n, p), eig):
                 rw = 1.0 / np.sqrt(w)        # (m, p)
@@ -120,21 +129,14 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
         Sk = cts_covariance_raw_all(H, Z)
         eig = []
         for idx in _chunks(n, p):
-            SS = np.einsum('mk,kpq->mpq', H[idx], Sk)
-            w, Q = np.linalg.eigh(SS)
+            w, Q = np.linalg.eigh(subject_covariance(est[idx], Sk))
             top = w[:, -1]
             if (top <= 0.0).any():
                 raise SingularSigma("estimated subject covariance has no "
                                     "positive eigenvalue")
             w = np.maximum(w, _EIG_FLOOR * top[:, None])
             eig.append((w, Q))
-            QtW = Q.transpose(0, 2, 1) @ Wv
-            A = QtW.transpose(0, 2, 1) @ (QtW / w[:, :, None])
-            Ai = np.linalg.inv(A)
-            s = Ai @ ones
-            Vc = p * (Ai - s[:, :, None] * s[:, None, :]
-                      / s.sum(axis=1)[:, None, None])
-            V[idx] = 0.5 * (Vc + Vc.transpose(0, 2, 1))
+            V[idx] = _gls_cov(_whitened_gram(Wv, w, Q), p)
         if Vprev is not None:
             delta = (np.abs(V - Vprev).max(axis=(1, 2))
                      / (1.0 + np.abs(Vprev).max(axis=(1, 2)))).max()
@@ -147,15 +149,7 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
         run_warnings.append(msg)
         warnings.warn(msg, NonConvergenceWarning)
 
-    ids = _sample_ids(Y, n)
-    estimates = []
-    for i in range(n):
-        e = ProportionEstimate(est[i].copy(), V[i] / p, ids[i])
-        if est[i].min() < BOUNDARY_TOL:
-            e.warnings.append(
-                "proportion at the simplex boundary; normal approximation "
-                "may be unreliable")
-        estimates.append(e)
+    estimates = _package_estimates(est, V / p, _sample_ids(Y, n))
     cell_types = list(getattr(W, "cell_types", [str(k) for k in range(K)]))
     return DecalsResult(estimates, CtsCovarianceSet(Sk, cell_types),
                         iterations, converged, None, run_warnings)

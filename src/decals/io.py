@@ -3,7 +3,8 @@
 Matrices come in as TSV with a mandatory header row. Results go out as CSV
 and JSON with floats in scientific notation: 17 significant digits in JSON,
 15 in CSV, enough to round-trip IEEE doubles. Every write is atomic (temp
-file in the target directory, then rename).
+file in the target directory, then rename); write_csv_rows returns the text
+it wrote, which is what draw manifests hash.
 """
 
 from __future__ import annotations
@@ -75,11 +76,14 @@ def write_json(path: str, obj) -> None:
     atomic_write_text(path, _emit_json(obj) + "\n")
 
 
-def _write_csv_rows(path: str, rows) -> None:
+def write_csv_rows(path: str, rows) -> str:
+    """Write rows as CSV atomically; returns the text written."""
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    text = buf.getvalue()
+    atomic_write_text(path, text)
+    return text
 
 
 def _read_table(path: str, delimiter: str):
@@ -140,7 +144,7 @@ def write_proportions_csv(path: str, sample_ids, cell_types, P) -> None:
     rows = [["sample_id"] + list(cell_types)]
     for sid, row in zip(sample_ids, P):
         rows.append([str(sid)] + [fmt_csv(v) for v in row])
-    _write_csv_rows(path, rows)
+    write_csv_rows(path, rows)
 
 
 def read_proportions_csv(path: str):
@@ -213,7 +217,7 @@ def write_intervals_csv(path: str, sample_ids, cell_types, est, lo, hi) -> None:
         for k, ct in enumerate(cell_types):
             rows.append([str(sid), str(ct), fmt_csv(est[i][k]),
                          fmt_csv(lo[i][k]), fmt_csv(hi[i][k])])
-    _write_csv_rows(path, rows)
+    write_csv_rows(path, rows)
 
 
 def write_coverage_csv(path: str, report) -> None:
@@ -229,7 +233,7 @@ def write_coverage_csv(path: str, report) -> None:
                 continue
             rows.append([report.method, str(k), str(rep),
                          fmt_csv(c), fmt_csv(w)])
-    _write_csv_rows(path, rows)
+    write_csv_rows(path, rows)
 
 
 def write_draws(out_dir: str, draw_set) -> str:
@@ -247,10 +251,8 @@ def write_draws(out_dir: str, draw_set) -> str:
         for i, sid in enumerate(draw_set.sample_ids):
             rows.append([str(sid)] + [fmt_csv(v)
                                       for v in draw_set.draws[m, i]])
-        fpath = os.path.join(out_dir, name)
-        _write_csv_rows(fpath, rows)
-        with open(fpath, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        text = write_csv_rows(os.path.join(out_dir, name), rows)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         files.append({"name": name, "sha256": digest})
     manifest = {
         "M": M,
@@ -268,7 +270,8 @@ def read_pvalues_csv(path: str):
     """CSV with columns draw_index, unit_id, cell_type, p_value.
 
     Returns {(unit_id, cell_type): p-value array ordered by draw_index}.
-    An empty file yields an empty mapping."""
+    Each hypothesis's draw indices must be exactly 0..M-1, with M free to
+    differ between hypotheses. An empty file yields an empty mapping."""
     rows = _read_table(path, ",")
     if not rows:
         return {}
@@ -293,9 +296,21 @@ def read_pvalues_csv(path: str):
                              f"outside [0, 1]")
         acc.setdefault((row[1], row[2]), []).append((idx, pv))
     out = {}
-    for key, pairs in acc.items():
+    for (unit, ct), pairs in acc.items():
         pairs.sort()
-        out[key] = np.array([pv for _, pv in pairs])
+        idxs = [idx for idx, _ in pairs]
+        if idxs != list(range(len(idxs))):
+            m = next(m for m, idx in enumerate(idxs) if idx != m)
+            dup = m > 0 and idxs[m] == idxs[m - 1]
+            # found here, not kept per row: each would cost an int object
+            lines = [n for n, row in enumerate(rows[1:], start=2)
+                     if row and row[1:3] == [unit, ct]
+                     and int(row[0]) == idxs[m]]
+            what = "duplicate" if dup else f"expected {m}, found"
+            raise ParseError(f"{path}: line {lines[1 if dup else 0]}: {what} "
+                             f"draw_index {idxs[m]} for unit {unit!r}, "
+                             f"cell type {ct!r}")
+        out[(unit, ct)] = np.array([pv for _, pv in pairs])
     return out
 
 
@@ -304,4 +319,4 @@ def write_calls_csv(path: str, decisions) -> None:
     for d in decisions:
         rows.append([d.unit_id, d.cell_type, str(d.hits), str(d.cutoff),
                      "true" if d.called else "false"])
-    _write_csv_rows(path, rows)
+    write_csv_rows(path, rows)

@@ -1,5 +1,6 @@
 """Quadratic-programming kernel: simplex- and equality-constrained least squares
-plus a Frobenius-nearest PSD projection.
+plus a Frobenius-nearest PSD projection, and check_pd, the relative-eigenvalue
+singularity check every module applies with its own floor and exception.
 
 The simplex solver is a dual active-set method (Goldfarb-Idnani): start at the
 unconstrained minimizer, impose the sum-to-one equality first, then add violated
@@ -35,12 +36,20 @@ def _as_problem(W, y):
     return W, y
 
 
+def check_pd(M, floor: float, exc, msg: str) -> None:
+    """Raise exc(msg) unless symmetric M is numerically positive definite.
+
+    M counts as singular when its smallest eigenvalue is at most `floor`
+    times its largest, or its largest is not positive. The message gets the
+    eigenvalue range appended."""
+    w = np.linalg.eigvalsh(M)
+    if w[0] <= floor * w[-1] or w[-1] <= 0.0:
+        raise exc(f"{msg} (eig range [{w[0]:.3e}, {w[-1]:.3e}])")
+
+
 def _gram(W):
     G = W.T @ W
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= _COND_FLOOR * w[-1] or w[-1] <= 0.0:
-        raise SingularDesign(
-            f"W'W numerically singular (eig range [{w[0]:.3e}, {w[-1]:.3e}])")
+    check_pd(G, _COND_FLOOR, SingularDesign, "W'W numerically singular")
     return G
 
 
@@ -84,10 +93,8 @@ def solve_simplex_normal(G, a) -> np.ndarray:
         raise DimensionMismatch(f"incompatible shapes {G.shape} and {a.shape}")
     if not (np.isfinite(G).all() and np.isfinite(a).all()):
         raise NonFinite("normal equations contain NaN/Inf")
-    w = np.linalg.eigvalsh(0.5 * (G + G.T))
-    if w[0] <= _COND_FLOOR * w[-1] or w[-1] <= 0.0:
-        raise SingularDesign(
-            f"moment matrix numerically singular (eig range [{w[0]:.3e}, {w[-1]:.3e}])")
+    check_pd(0.5 * (G + G.T), _COND_FLOOR, SingularDesign,
+             "moment matrix numerically singular")
     return _gi_simplex(G, a)
 
 

@@ -13,7 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from decals.cli import EXIT_INPUT, EXIT_OK, main
+from decals import cli
+from decals.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 
 
 def _fmt(v):
@@ -99,6 +100,7 @@ def test_deconvolve_interval_levels(noiseless_data, tmp_path):
     (["--scad-lambda", "0.1", "0.2", "0.3", "0.4"], "lambdas has shape (4,)"),
     (["--scad-lambda", "0.1", "-0.2", "0.3"], "lambdas must be"),
     (["--level", "1.5"], "--level must be in (0, 1)"),
+    (["--seed", "-1"], "--seed must be >= 0"),
 ])
 def test_deconvolve_rejects_bad_options_before_writing(
         noiseless_data, tmp_path, capsys, extra, cause):
@@ -155,6 +157,30 @@ def test_sample_zero_covariance_draws(noiseless_data, tmp_path, capsys):
     assert "wrote 3 draw files" in capsys.readouterr().out
 
 
+def test_deconvolve_linalg_error_is_numerical(noiseless_data, tmp_path,
+                                              capsys, monkeypatch):
+    # LinAlgError subclasses ValueError but is not an input error
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run_decals", broken)
+    root, _, _ = noiseless_data
+    assert _deconvolve(root, tmp_path / "res") == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical error: Singular")
+
+
+def test_sample_rejects_negative_seed(noiseless_data, tmp_path, capsys):
+    root, _, _ = noiseless_data
+    res = tmp_path / "res"
+    assert _deconvolve(root, res) == EXIT_OK
+    draws_dir = tmp_path / "draws"
+    code = main(["sample", "--results", str(res), "--draws", "3",
+                 "--seed", "-1", "--out", str(draws_dir)])
+    assert code == EXIT_INPUT
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not draws_dir.exists()
+
+
 def test_sample_missing_results_dir(tmp_path, capsys):
     code = main(["sample", "--results", str(tmp_path / "nope"),
                  "--draws", "2", "--out", str(tmp_path / "d")])
@@ -196,6 +222,19 @@ def test_aggregate_draw_count_mismatch(tmp_path, capsys):
     assert "expected 100" in capsys.readouterr().err
 
 
+def test_aggregate_rejects_repeated_draw_index(tmp_path, capsys):
+    # two rows for draw 0 must not pass as two draws
+    pv = tmp_path / "pv.csv"
+    pv.write_text("draw_index,unit_id,cell_type,p_value\n"
+                  "0,u1,A,0.01\n0,u1,A,0.01\n")
+    out = tmp_path / "calls.csv"
+    code = main(["aggregate", "--pvalues", str(pv), "--draws", "2",
+                 "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert "line 3: duplicate draw_index 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aggregate_empty_pvalue_file(tmp_path, capsys):
     pv = tmp_path / "pv.csv"
     pv.write_text("")
@@ -225,6 +264,15 @@ def test_simulate_fig4_smoke(tmp_path, capsys):
     assert len(plot) == 1 + 2 * 3
     table = capsys.readouterr().out
     assert "ols" in table and "decals" in table
+
+
+def test_simulate_rejects_bad_level_before_writing(tmp_path, capsys):
+    out = tmp_path / "sim"
+    code = main(["simulate", "--preset", "fig4", "--replicates", "1",
+                 "--level", "1.5", "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert "--level must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_is_deterministic(tmp_path):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from decals import deconv
+from decals import deconv, gls
+from decals.covest import subject_covariance
 from decals.deconv import (BulkMatrix, ProportionEstimate, SignatureMatrix,
                            align_genes, confidence_intervals,
-                           estimate_proportions, ols_baseline,
-                           theorem1_covariance)
+                           estimate_proportions, sandwich,
+                           theorem1_covariance, wald_intervals)
 from decals.errors import GeneMismatch, NonFinite
 
 
@@ -147,31 +148,42 @@ def test_align_genes_disjoint_ids():
         align_genes(sig, bulk)
 
 
-def test_ols_baseline_unconstrained_and_calibrated():
-    rng = np.random.default_rng(9)
-    p, K = 60, 3
+def _batched_and_single(kernel, rng):
+    """(batched result, per-sample one-sample results) of one kernel on a
+    small random problem with n samples."""
+    p, K, n = 24, 3, 5
     W = _sig(rng, p, K)
-    # a target far outside the simplex stays unprojected
-    y_out = W @ np.array([1.6, -0.4, -0.2])
-    est = ols_baseline(W, y_out[:, None])[0]
-    assert est.proportions.min() < 0
-    assert_allclose(est.proportions, [1.6, -0.4, -0.2], atol=1e-8)
-    # iid noise: reported covariance matches the empirical one and 95% CIs hit
-    pi = np.array([0.5, 0.3, 0.2])
-    n_mc = 500
-    ests = np.empty((n_mc, K))
-    hits = np.zeros(K)
-    for m in range(n_mc):
-        y = W @ pi + 0.8 * rng.standard_normal(p)
-        e = ols_baseline(W, y[:, None])[0]
-        ests[m] = e.proportions
-        half = 1.959963984540054 * np.sqrt(np.diag(e.covariance))
-        hits += np.abs(e.proportions - pi) <= half
-    emp = np.cov(ests.T)
-    ref = 0.8 ** 2 * np.linalg.inv(W.T @ W)
-    assert np.abs(emp - ref).max() <= 0.25 * np.abs(ref).max()
-    # binomial 3 SE band at n=500
-    assert ((hits / n_mc >= 0.92) & (hits / n_mc <= 0.98)).all()
+    B = rng.normal(0, 1, (K, p, p))
+    S = np.einsum('kab,kcb->kac', B, B) / p + np.eye(p)
+    P = rng.dirichlet([3, 2, 1], n)
+    if kernel == "sandwich":
+        return sandwich(W, S, P ** 2), [
+            theorem1_covariance(W, np.einsum('k,kab->ab', P[i] ** 2, S))
+            for i in range(n)]
+    if kernel == "wald_intervals":
+        V = np.abs(rng.normal(0, 0.05, (n, K)))
+        V[0, 0] = -1e-3                      # negative variance reads as 0
+        lo, hi = wald_intervals(P, V, 0.9)
+        return np.stack([lo, hi], axis=-1), [
+            confidence_intervals(ProportionEstimate(P[i], np.diag(V[i])), 0.9)
+            for i in range(n)]
+    if kernel == "subject_covariance":
+        return subject_covariance(P, S), [subject_covariance(P[i], S)
+                                          for i in range(n)]
+    Sig = subject_covariance(P, S)
+    eig = [gls._floored_eig(Si) for Si in Sig]
+    w, Q = np.stack([e[0] for e in eig]), np.stack([e[1] for e in eig])
+    return gls._gls_cov(gls._whitened_gram(W, w, Q), p), [
+        gls.gls_covariance(W, Si) for Si in Sig]
+
+
+@pytest.mark.parametrize("kernel", ["sandwich", "wald_intervals",
+                                    "subject_covariance", "gls_covariance"])
+def test_batched_kernel_matches_one_sample_form(kernel):
+    batched, single = _batched_and_single(kernel, np.random.default_rng(9))
+    assert batched.shape == (len(single),) + single[0].shape
+    for got, ref in zip(batched, single):
+        assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_error_tagging_names_sample():

@@ -248,6 +248,23 @@ def test_pvalues_reader_errors(tmp_path):
         read_pvalues_csv(str(short))
 
 
+@pytest.mark.parametrize("indices, line, cause", [
+    ([0, 1, 0], 4, "duplicate draw_index 0"),
+    ([0, 2], 3, "expected 1, found draw_index 2"),
+    ([1, 2], 2, "expected 0, found draw_index 1"),
+    ([-1, 0], 2, "expected 0, found draw_index -1"),
+])
+def test_pvalues_reader_requires_draw_indices_0_to_m(tmp_path, indices, line,
+                                                      cause):
+    path = tmp_path / "pv.csv"
+    path.write_text(",".join(PVALUE_HEADER) + "\n"
+                    + "".join(f"{m},u1,A,0.5\n" for m in indices)
+                    + "0,u2,B,0.5\n")
+    with pytest.raises(ParseError, match=f"line {line}: {cause}") as err:
+        read_pvalues_csv(str(path))
+    assert "'u1'" in str(err.value) and "'A'" in str(err.value)
+
+
 def test_calls_csv_layout(tmp_path):
     path = tmp_path / "calls.csv"
     dec = [CallDecision("u1", "A", 12, 100, 10, True),

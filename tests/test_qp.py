@@ -151,3 +151,13 @@ def test_nearest_psd_optimality_probe():
         t = rng.random()
         C = t * N + (1 - t) * (B @ B.T)          # convex PSD combinations
         assert np.linalg.norm(S - C) >= d0 - 1e-10
+
+
+@pytest.mark.parametrize("exc", [SingularDesign, NonFinite])
+def test_check_pd_raises_the_callers_exception(exc):
+    qp.check_pd(np.diag([1.0, 1e-9]), 1e-10, exc, "fine")
+    # an eigenvalue ratio exactly at the floor counts as singular
+    with pytest.raises(exc, match=r"^at floor \(eig range \[1\.000e-10, "):
+        qp.check_pd(np.diag([1.0, 1e-10]), 1e-10, exc, "at floor")
+    with pytest.raises(exc, match="not positive"):
+        qp.check_pd(-np.eye(2), 1e-10, exc, "not positive")

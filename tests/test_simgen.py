@@ -5,14 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from decals.deconv import SignatureMatrix, theorem1_covariance
+from decals import simgen
+from decals.deconv import SignatureMatrix, sandwich, theorem1_covariance
 from decals.errors import (DimensionMismatch, DivisibilityError,
                            NonPositiveMean)
 from decals.simgen import (SimConfig, block_correlations, coverage_experiment,
                            perturb_signature, replicate_dataset,
                            replicate_rng, sample_dirichlet,
                            sample_gamma_copula, sample_gaussian_profiles,
-                           synthesize_bulk, v_error_study, _theorem1_all)
+                           synthesize_bulk, v_error_study)
 
 
 def test_block_correlations_exact_entries():
@@ -151,11 +152,10 @@ def test_replicate_dataset_deterministic_and_shaped():
     assert_allclose(np.diag(S1[0]), 10.0, atol=0)
 
 
-def test_theorem1_all_matches_single():
-    rng = np.random.default_rng(7)
+def test_sandwich_matches_single_on_replicate():
     cfg = SimConfig(p=30, n=6, replicates=1, seed=1)
     W, Wo, P, Y, Sig = replicate_dataset(cfg, replicate_rng(1, 0))
-    Vs = _theorem1_all(W, Sig, P)
+    Vs = sandwich(W, Sig, P ** 2) / 30
     for i in range(6):
         Si = np.einsum('k,kab->ab', P[i] ** 2, Sig)
         assert_allclose(Vs[i], theorem1_covariance(W, Si) / 30, atol=1e-12)
@@ -193,6 +193,24 @@ def test_coverage_experiment_records_failures():
     assert len(rep.failures) == 2
     assert np.isnan(rep.coverage).all()
     assert "InsufficientSamples" in rep.failures[0]
+
+
+def test_coverage_experiment_records_linalg_failures(monkeypatch):
+    # a stray LinAlgError in one replicate is recorded, not fatal
+    cfg = SimConfig(p=30, n=20, replicates=2, seed=0)
+    first_y = replicate_dataset(cfg, replicate_rng(0, 0))[3][0, 0]
+    fit = simgen._fit_estimates
+
+    def flaky(method, Wobs, Y, P, Sig, options):
+        if Y[0, 0] == first_y:               # replicate 0 only
+            raise np.linalg.LinAlgError("Singular matrix")
+        return fit(method, Wobs, Y, P, Sig, options)
+
+    monkeypatch.setattr(simgen, "_fit_estimates", flaky)
+    rep = coverage_experiment(cfg, "ols")
+    assert rep.failures == ["replicate 0: LinAlgError: Singular matrix"]
+    assert np.isnan(rep.per_replicate[0]).all()
+    assert not np.isnan(rep.per_replicate[1]).any()
 
 
 def test_coverage_experiment_rejects_unknown_method():
