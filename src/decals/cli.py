@@ -63,14 +63,15 @@ def _check_level(level: float) -> None:
         raise ValueError(f"--level must be in (0, 1), got {level}")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
+def _check_min(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def cmd_deconvolve(args) -> int:
     _check_level(args.level)
-    _check_seed(args.seed)
+    _check_min("--seed", args.seed, 0)
+    _check_min("--max-iter", args.max_iter, 1)
     sig = io.read_signature_tsv(args.signature)
     bulk = io.read_bulk_tsv(args.bulk)
     collected: list[str] = []
@@ -144,6 +145,7 @@ def _print_report(report) -> None:
 
 def cmd_simulate(args) -> int:
     _check_level(args.level)
+    _check_min("--gls-max-iter", args.gls_max_iter, 1)
     os.makedirs(args.out, exist_ok=True)
     if args.preset == "tableS1":
         sizes = _SCALES[args.scale]
@@ -194,7 +196,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_seed(args.seed)
+    _check_min("--seed", args.seed, 0)
+    _check_min("--draws", args.draws, 1)
     ests, cell_types = io.load_estimates(args.results)
     ds = sample_proportion_sets(ests, args.draws, seed=args.seed,
                                 cell_types=cell_types)
@@ -204,6 +207,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    if args.draws is not None:
+        _check_min("--draws", args.draws, 1)
     pvals = io.read_pvalues_csv(args.pvalues)
     if args.draws is not None:
         for (unit, ct), ps in pvals.items():

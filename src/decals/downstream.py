@@ -43,23 +43,17 @@ class CallDecision:
     called: bool
 
 
-def _gauss_root(V: np.ndarray) -> np.ndarray:
-    """Symmetric square root with negative eigenvalues clipped to zero."""
-    V = 0.5 * (V + V.T)
-    w, Q = np.linalg.eigh(V)
-    return Q * np.sqrt(np.maximum(w, 0.0))
-
-
 def _raw_draws(estimates, M: int, rng) -> np.ndarray:
-    """Gaussian draws around each estimate before the simplex projection."""
-    n = len(estimates)
-    K = len(estimates[0].proportions)
-    out = np.empty((M, n, K))
-    for i, est in enumerate(estimates):
-        root = _gauss_root(np.asarray(est.covariance, dtype=float))
-        z = rng.standard_normal((M, K))
-        out[:, i, :] = est.proportions[None, :] + z @ root.T
-    return out
+    """Gaussian draws around each estimate before the simplex projection.
+
+    Each covariance's root is its symmetric part's eigenvectors scaled by
+    the square roots of the eigenvalues, negative ones clipped to zero."""
+    V = np.stack([np.asarray(e.covariance, dtype=float) for e in estimates])
+    w, Q = np.linalg.eigh(0.5 * (V + V.transpose(0, 2, 1)))
+    roots = Q * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+    z = rng.standard_normal((len(estimates), M, roots.shape[-1]))
+    P = np.stack([e.proportions for e in estimates])
+    return (P[:, None, :] + z @ roots.transpose(0, 2, 1)).transpose(1, 0, 2)
 
 
 def project_draws(raw: np.ndarray) -> np.ndarray:

@@ -3,8 +3,12 @@
 Matrices come in as TSV with a mandatory header row. Results go out as CSV
 and JSON with floats in scientific notation: 17 significant digits in JSON,
 15 in CSV, enough to round-trip IEEE doubles. Every write is atomic (temp
-file in the target directory, then rename); write_csv_rows returns the text
-it wrote, which is what draw manifests hash.
+file in the target directory, then rename), and the CSV writers return the
+text they wrote, which is what draw manifests hash.
+
+Numeric tables go a column at a time: one % over a repeated row template
+renders a table (or a float array in JSON), and the p-value reader checks
+whole columns, rereading the file row by row only to name a failing line.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ def _emit_json(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            return _json_floats(obj)
         return _emit_json(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
@@ -56,6 +62,21 @@ def _emit_json(obj) -> str:
             parts.append(json.dumps(str(k)) + ": " + _emit_json(v))
         return "{" + ", ".join(parts) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _json_floats(a: np.ndarray) -> str:
+    """A float array as nested JSON lists: one % over a template per
+    matrix, so no temporary grows with the number of matrices."""
+    if a.ndim > 2:
+        return "[" + ", ".join(_json_floats(m) for m in a) + "]"
+    tmpl = "%" + JSON_FMT
+    for dim in reversed(a.shape):
+        tmpl = "[" + ", ".join([tmpl] * dim) + "]"
+    text = tmpl % tuple(a.ravel().tolist())
+    if not np.isfinite(a).all():      # only numbers in text: swap the tokens
+        for tok in ("-inf", "inf", "nan"):
+            text = text.replace(tok, "null")
+    return text
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -76,12 +97,33 @@ def write_json(path: str, obj) -> None:
     atomic_write_text(path, _emit_json(obj) + "\n")
 
 
+def _csv_text(rows) -> str:
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def write_csv_rows(path: str, rows) -> str:
     """Write rows as CSV atomically; returns the text written."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    text = buf.getvalue()
+    text = _csv_text(rows)
+    atomic_write_text(path, text)
+    return text
+
+
+def _csv_fields(values) -> list:
+    """Each value as csv.writer writes it in a row of two or more fields."""
+    return [_csv_text([[v, ""]])[:-2] for v in values]
+
+
+def _write_numeric_csv(path: str, header, labels, values) -> str:
+    """The header row, then "label,v_1,...,v_C" per row of the (rows, C)
+    values with each v as fmt_csv writes it; labels are CSV text."""
+    values = np.asarray(values, dtype=float)
+    n, C = values.shape
+    cells = np.empty((n, C + 1), dtype=object)
+    cells[:, 0], cells[:, 1:] = labels, values
+    row = "%s" + f",%{CSV_FMT}" * C + "\n"
+    text = _csv_text([header]) + (row * n) % tuple(cells.ravel().tolist())
     atomic_write_text(path, text)
     return text
 
@@ -114,14 +156,16 @@ def _parse_matrix_tsv(path: str, min_cols: int):
             raise ParseError(f"{path}: line {lineno}: expected "
                              f"{len(header)} fields, found {len(row)}")
         ids.append(row[0])
-        parsed = []
-        for colno, cell in enumerate(row[1:], start=2):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}, column {colno}: "
-                                 f"not a number: {cell!r}") from None
-        values.append(parsed)
+        try:
+            values.append(list(map(float, row[1:])))
+        except ValueError:      # find the cell only now that one failed
+            for colno, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}, column {colno}: "
+                        f"not a number: {cell!r}") from None
     if not ids:
         raise ParseError(f"{path}: no data rows")
     return ids, names, np.array(values, dtype=float)
@@ -140,11 +184,8 @@ def read_bulk_tsv(path: str) -> BulkMatrix:
 
 
 def write_proportions_csv(path: str, sample_ids, cell_types, P) -> None:
-    P = np.asarray(P, dtype=float)
-    rows = [["sample_id"] + list(cell_types)]
-    for sid, row in zip(sample_ids, P):
-        rows.append([str(sid)] + [fmt_csv(v) for v in row])
-    write_csv_rows(path, rows)
+    _write_numeric_csv(path, ["sample_id"] + list(cell_types),
+                       _csv_fields(map(str, sample_ids)), P)
 
 
 def read_proportions_csv(path: str):
@@ -172,7 +213,7 @@ def write_covariances_json(path: str, sample_ids, cell_types, covs) -> None:
     write_json(path, {
         "cell_types": list(cell_types),
         "sample_ids": [str(s) for s in sample_ids],
-        "covariances": [np.asarray(C, dtype=float) for C in covs],
+        "covariances": np.asarray(covs, dtype=float),
     })
 
 
@@ -212,28 +253,26 @@ def load_estimates(result_dir: str):
 
 
 def write_intervals_csv(path: str, sample_ids, cell_types, est, lo, hi) -> None:
-    rows = [["sample_id", "cell_type", "estimate", "lower", "upper"]]
-    for i, sid in enumerate(sample_ids):
-        for k, ct in enumerate(cell_types):
-            rows.append([str(sid), str(ct), fmt_csv(est[i][k]),
-                         fmt_csv(lo[i][k]), fmt_csv(hi[i][k])])
-    write_csv_rows(path, rows)
+    """One row per (sample, cell type), sample-major."""
+    cts = _csv_fields(map(str, cell_types))
+    labels = [f"{sid},{ct}" for sid in _csv_fields(map(str, sample_ids))
+              for ct in cts]
+    values = np.stack([np.asarray(a, dtype=float) for a in (est, lo, hi)], -1)
+    _write_numeric_csv(path, ["sample_id", "cell_type", "estimate", "lower",
+                              "upper"], labels, values.reshape(-1, 3))
 
 
 def write_coverage_csv(path: str, report) -> None:
     """Tidy per-replicate coverage: method, cell_type, replicate, coverage,
     mean_width."""
-    rows = [["method", "cell_type", "replicate", "coverage", "mean_width"]]
-    reps = [r for _, r in report.replicate_seeds]
-    for row, rep in enumerate(reps):
-        for k in range(len(report.coverage)):
-            c = report.per_replicate[row, k]
-            w = report.per_replicate_width[row, k]
-            if np.isnan(c):
-                continue
-            rows.append([report.method, str(k), str(rep),
-                         fmt_csv(c), fmt_csv(w)])
-    write_csv_rows(path, rows)
+    kept = ~np.isnan(report.per_replicate)       # (replicates, K)
+    method = _csv_fields([report.method])[0]
+    labels = [f"{method},{k},{rep}" for (_, rep), row in
+              zip(report.replicate_seeds, kept) for k in np.flatnonzero(row)]
+    values = np.stack([report.per_replicate[kept],
+                       report.per_replicate_width[kept]], -1)
+    _write_numeric_csv(path, ["method", "cell_type", "replicate", "coverage",
+                              "mean_width"], labels, values)
 
 
 def write_draws(out_dir: str, draw_set) -> str:
@@ -244,14 +283,12 @@ def write_draws(out_dir: str, draw_set) -> str:
     M = draw_set.draws.shape[0]
     width = max(4, len(str(M - 1)))
     header = ["sample_id"] + [str(c) for c in draw_set.cell_types]
+    ids = _csv_fields(map(str, draw_set.sample_ids))
     files = []
     for m in range(M):
         name = f"draw_{m:0{width}d}.csv"
-        rows = [header]
-        for i, sid in enumerate(draw_set.sample_ids):
-            rows.append([str(sid)] + [fmt_csv(v)
-                                      for v in draw_set.draws[m, i]])
-        text = write_csv_rows(os.path.join(out_dir, name), rows)
+        text = _write_numeric_csv(os.path.join(out_dir, name), header, ids,
+                                  draw_set.draws[m])
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         files.append({"name": name, "sha256": digest})
     manifest = {
@@ -266,52 +303,80 @@ def write_draws(out_dir: str, draw_set) -> str:
     return mpath
 
 
-def read_pvalues_csv(path: str):
-    """CSV with columns draw_index, unit_id, cell_type, p_value.
-
-    Returns {(unit_id, cell_type): p-value array ordered by draw_index}.
-    Each hypothesis's draw indices must be exactly 0..M-1, with M free to
-    differ between hypotheses. An empty file yields an empty mapping."""
+def _pvalue_error(path: str) -> ParseError:
+    """The first error in a p-value file, found by rereading it record by
+    record: the header; each record's field count, numbers and range in file
+    order; then each hypothesis's draw indices in order of first appearance."""
     rows = _read_table(path, ",")
-    if not rows:
-        return {}
     if rows[0] != PVALUE_HEADER:
-        raise ParseError(f"{path}: line 1: expected header "
-                         f"{','.join(PVALUE_HEADER)}")
-    acc = {}
+        return ParseError(f"{path}: line 1: expected header "
+                          f"{','.join(PVALUE_HEADER)}")
+    found = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 4:
-            raise ParseError(f"{path}: line {lineno}: expected 4 fields, "
-                             f"found {len(row)}")
+            return ParseError(f"{path}: line {lineno}: expected 4 fields, "
+                              f"found {len(row)}")
         try:
             idx = int(row[0])
             pv = float(row[3])
         except ValueError:
-            raise ParseError(f"{path}: line {lineno}: malformed row "
-                             f"{row!r}") from None
+            return ParseError(f"{path}: line {lineno}: malformed row {row!r}")
         if not (0.0 <= pv <= 1.0):
-            raise ParseError(f"{path}: line {lineno}: p-value {pv} "
-                             f"outside [0, 1]")
-        acc.setdefault((row[1], row[2]), []).append((idx, pv))
-    out = {}
-    for (unit, ct), pairs in acc.items():
-        pairs.sort()
-        idxs = [idx for idx, _ in pairs]
-        if idxs != list(range(len(idxs))):
-            m = next(m for m, idx in enumerate(idxs) if idx != m)
+            return ParseError(f"{path}: line {lineno}: p-value {pv} "
+                              f"outside [0, 1]")
+        found.setdefault((row[1], row[2]), []).append((idx, lineno))
+    for (unit, ct), pairs in found.items():
+        idxs = sorted(idx for idx, _ in pairs)
+        m = next((m for m, idx in enumerate(idxs) if idx != m), None)
+        if m is not None:
             dup = m > 0 and idxs[m] == idxs[m - 1]
-            # found here, not kept per row: each would cost an int object
-            lines = [n for n, row in enumerate(rows[1:], start=2)
-                     if row and row[1:3] == [unit, ct]
-                     and int(row[0]) == idxs[m]]
+            lines = [n for idx, n in pairs if idx == idxs[m]]
             what = "duplicate" if dup else f"expected {m}, found"
-            raise ParseError(f"{path}: line {lines[1 if dup else 0]}: {what} "
-                             f"draw_index {idxs[m]} for unit {unit!r}, "
-                             f"cell type {ct!r}")
-        out[(unit, ct)] = np.array([pv for _, pv in pairs])
-    return out
+            return ParseError(f"{path}: line {lines[1 if dup else 0]}: "
+                              f"{what} draw_index {idxs[m]} for unit "
+                              f"{unit!r}, cell type {ct!r}")
+
+
+def read_pvalues_csv(path: str):
+    """CSV with columns draw_index, unit_id, cell_type, p_value.
+
+    Returns {(unit_id, cell_type): p-value array ordered by draw_index},
+    keys in order of first appearance. Each hypothesis's draw indices must
+    be exactly 0..M-1, with M free to differ between hypotheses. An empty
+    file yields an empty mapping."""
+    keys, kid, idx, pv = {}, [], [], []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, PVALUE_HEADER) != PVALUE_HEADER:  # empty: no rows
+                raise _pvalue_error(path)
+            for row in reader:
+                if len(row) == 4:
+                    idx.append(row[0])
+                    pv.append(row[3])
+                    kid.append(keys.setdefault((row[1], row[2]), len(keys)))
+                elif row:
+                    raise _pvalue_error(path)
+    except OSError as err:
+        raise ParseError(f"{path}: {err.strerror or err}") from None
+    n = len(pv)
+    try:
+        pv = np.fromiter(map(float, pv), float, n)
+        idx = np.fromiter(map(int, idx), np.int64, n)
+    except (ValueError, OverflowError):   # beyond int64 is no valid index
+        raise _pvalue_error(path) from None
+    kid = np.fromiter(kid, np.intp, n)
+    # a valid hypothesis has distinct indices, so p-values never break a tie
+    # that matters; sorting by them as well costs 20x the time
+    order = np.lexsort((idx, kid))
+    counts = np.bincount(kid)
+    ends = np.cumsum(counts)
+    expected = np.arange(n) - np.repeat(ends - counts, counts)
+    if ((pv >= 0.0) & (pv <= 1.0)).all() and (idx[order] == expected).all():
+        return dict(zip(keys, np.split(pv[order], ends[:-1])))
+    raise _pvalue_error(path)
 
 
 def write_calls_csv(path: str, decisions) -> None:

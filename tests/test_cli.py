@@ -181,6 +181,30 @@ def test_sample_rejects_negative_seed(noiseless_data, tmp_path, capsys):
     assert not draws_dir.exists()
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["deconvolve", "--signature", "{missing}", "--bulk", "{missing}",
+      "--max-iter", "0", "--out", "{out}"], "--max-iter", 0),
+    (["sample", "--results", "{missing}", "--draws", "0", "--out", "{out}"],
+     "--draws", 0),
+    (["sample", "--results", "{missing}", "--draws", "-3", "--out", "{out}"],
+     "--draws", -3),
+    (["aggregate", "--pvalues", "{missing}", "--draws", "0",
+      "--out", "{out}"], "--draws", 0),
+    (["simulate", "--preset", "fig2", "--replicates", "1",
+      "--gls-max-iter", "0", "--out", "{out}"], "--gls-max-iter", 0),
+], ids=["deconvolve-max-iter", "sample-draws-0", "sample-draws-negative",
+        "aggregate-draws", "simulate-gls-max-iter"])
+def test_count_options_rejected_before_reading_or_writing(
+        tmp_path, capsys, argv, flag, value):
+    # the inputs do not exist: reading any of them would be a file error
+    out = tmp_path / "out"
+    argv = [a.format(missing=tmp_path / "missing", out=out) for a in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be >= 1, got {value}\n"
+    assert not out.exists()
+
+
 def test_sample_missing_results_dir(tmp_path, capsys):
     code = main(["sample", "--results", str(tmp_path / "nope"),
                  "--draws", "2", "--out", str(tmp_path / "d")])

@@ -5,9 +5,13 @@ significant digits), parse failures must carry file/line/column context, and
 draw manifests must list files whose sha256 matches what is on disk.
 """
 
+import csv
 import hashlib
 import json
+import math
 import os
+from io import StringIO
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from decals.io import (
     read_signature_tsv,
     write_calls_csv,
     write_covariances_json,
+    write_coverage_csv,
     write_draws,
     write_intervals_csv,
     write_json,
@@ -274,3 +279,325 @@ def test_calls_csv_layout(tmp_path):
     assert lines[0] == "unit_id,cell_type,hit_count,cutoff,called"
     assert lines[1] == "u1,A,12,10,true"
     assert lines[2] == "u2,A,3,10,false"
+
+
+# --- oracles: the cell-at-a-time writers and the row-at-a-time reader that
+# the columnar IO replaced; the columnar code must match them byte for byte
+
+def _oracle_csv_text(rows):
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _oracle_json(obj):
+    if isinstance(obj, float):
+        return format(obj, ".16e") if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, list):
+        return "[" + ", ".join(_oracle_json(v) for v in obj) + "]"
+    return "{" + ", ".join(json.dumps(k) + ": " + _oracle_json(v)
+                           for k, v in obj.items()) + "}"
+
+
+def _oracle_proportions(sample_ids, cell_types, P):
+    rows = [["sample_id"] + list(cell_types)]
+    for sid, row in zip(sample_ids, np.asarray(P, dtype=float)):
+        rows.append([str(sid)] + [fmt_csv(v) for v in row])
+    return _oracle_csv_text(rows)
+
+
+def _oracle_intervals(sample_ids, cell_types, est, lo, hi):
+    rows = [["sample_id", "cell_type", "estimate", "lower", "upper"]]
+    for i, sid in enumerate(sample_ids):
+        for k, ct in enumerate(cell_types):
+            rows.append([str(sid), str(ct), fmt_csv(est[i][k]),
+                         fmt_csv(lo[i][k]), fmt_csv(hi[i][k])])
+    return _oracle_csv_text(rows)
+
+
+def _oracle_coverage(report):
+    rows = [["method", "cell_type", "replicate", "coverage", "mean_width"]]
+    reps = [r for _, r in report.replicate_seeds]
+    for row, rep in enumerate(reps):
+        for k in range(len(report.coverage)):
+            c = report.per_replicate[row, k]
+            w = report.per_replicate_width[row, k]
+            if np.isnan(c):
+                continue
+            rows.append([report.method, str(k), str(rep),
+                         fmt_csv(c), fmt_csv(w)])
+    return _oracle_csv_text(rows)
+
+
+def _oracle_covariances(sample_ids, cell_types, covs):
+    return _oracle_json({
+        "cell_types": list(cell_types),
+        "sample_ids": [str(s) for s in sample_ids],
+        "covariances": [np.asarray(C, dtype=float).tolist() for C in covs],
+    }) + "\n"
+
+
+def _oracle_draws(draw_set):
+    """{file name: text} for every draw file plus manifest.json."""
+    M = draw_set.draws.shape[0]
+    width = max(4, len(str(M - 1)))
+    header = ["sample_id"] + [str(c) for c in draw_set.cell_types]
+    out, files = {}, []
+    for m in range(M):
+        name = f"draw_{m:0{width}d}.csv"
+        rows = [header]
+        for i, sid in enumerate(draw_set.sample_ids):
+            rows.append([str(sid)] + [fmt_csv(v)
+                                      for v in draw_set.draws[m, i]])
+        out[name] = _oracle_csv_text(rows)
+        files.append({"name": name, "sha256": hashlib.sha256(
+            out[name].encode("utf-8")).hexdigest()})
+    out["manifest.json"] = _oracle_json({
+        "M": M, "seed": draw_set.seed,
+        "sample_ids": [str(s) for s in draw_set.sample_ids],
+        "cell_types": [str(c) for c in draw_set.cell_types],
+        "files": files}) + "\n"
+    return out
+
+
+def _oracle_read_pvalues(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return {}
+    if rows[0] != PVALUE_HEADER:
+        raise ParseError(f"{path}: line 1: expected header "
+                         f"{','.join(PVALUE_HEADER)}")
+    acc = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"{path}: line {lineno}: expected 4 fields, "
+                             f"found {len(row)}")
+        try:
+            idx = int(row[0])
+            pv = float(row[3])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: malformed row "
+                             f"{row!r}") from None
+        if not (0.0 <= pv <= 1.0):
+            raise ParseError(f"{path}: line {lineno}: p-value {pv} "
+                             f"outside [0, 1]")
+        acc.setdefault((row[1], row[2]), []).append((idx, pv))
+    out = {}
+    for (unit, ct), pairs in acc.items():
+        pairs.sort()
+        idxs = [idx for idx, _ in pairs]
+        if idxs != list(range(len(idxs))):
+            m = next(m for m, idx in enumerate(idxs) if idx != m)
+            dup = m > 0 and idxs[m] == idxs[m - 1]
+            lines = [n for n, row in enumerate(rows[1:], start=2)
+                     if row and row[1:3] == [unit, ct]
+                     and int(row[0]) == idxs[m]]
+            what = "duplicate" if dup else f"expected {m}, found"
+            raise ParseError(f"{path}: line {lines[1 if dup else 0]}: {what} "
+                             f"draw_index {idxs[m]} for unit {unit!r}, "
+                             f"cell type {ct!r}")
+        out[(unit, ct)] = np.array([pv for _, pv in pairs])
+    return out
+
+
+ODD_IDS = ["a,b", 'say "hi"', "two\nlines", "", "żółw €", "cr\rx", "plain"]
+ODD_TYPES = ["T,1", 'T"2', "Tß"]
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 1.0, 0.0, 1 / 3, -2.5e-300]
+
+
+def _odd_matrix(n, K, seed):
+    """(n, K) values that cycle through EDGE_VALUES among random ones."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, K)) * 10.0 ** rng.integers(-20, 20, (n, K))
+    flat = X.ravel()
+    flat[::2] = np.resize(EDGE_VALUES, flat[::2].size)
+    return X
+
+
+def test_numeric_writers_match_cell_oracles(tmp_path):
+    n, K = len(ODD_IDS), len(ODD_TYPES)
+    P = _odd_matrix(n, K, 0)
+    path = tmp_path / "p.csv"
+    write_proportions_csv(str(path), ODD_IDS, ODD_TYPES, P)
+    assert path.read_bytes() == \
+        _oracle_proportions(ODD_IDS, ODD_TYPES, P).encode("utf-8")
+
+    est, lo, hi = (_odd_matrix(n, K, s) for s in (1, 2, 3))
+    path = tmp_path / "iv.csv"
+    write_intervals_csv(str(path), ODD_IDS, ODD_TYPES, est, lo, hi)
+    assert path.read_bytes() == _oracle_intervals(
+        ODD_IDS, ODD_TYPES, est, lo, hi).encode("utf-8")
+    # nested lists are accepted as well as arrays
+    write_intervals_csv(str(path), ODD_IDS, ODD_TYPES, est.tolist(),
+                        lo.tolist(), hi.tolist())
+    assert path.read_bytes() == _oracle_intervals(
+        ODD_IDS, ODD_TYPES, est, lo, hi).encode("utf-8")
+
+
+@pytest.mark.parametrize("failed", [[], [1], [0, 1, 2]])
+def test_coverage_csv_matches_oracle(tmp_path, failed):
+    cov = _odd_matrix(3, 3, 5)
+    cov[failed] = np.nan
+    report = SimpleNamespace(
+        method="m,1", coverage=np.zeros(3), per_replicate=cov,
+        per_replicate_width=_odd_matrix(3, 3, 6),
+        replicate_seeds=[(9, 4), (9, 7), (9, 11)])
+    path = tmp_path / "cov.csv"
+    write_coverage_csv(str(path), report)
+    assert path.read_bytes() == _oracle_coverage(report).encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_covariance_json_matches_oracle_with_nonfinite(tmp_path, n):
+    K = len(ODD_TYPES)
+    covs = _odd_matrix(n * K, K, 4).reshape(n, K, K)
+    if n:
+        covs[0, 0, 1], covs[-1, 2, 2], covs[-1, 1, 0] = np.nan, np.inf, -np.inf
+    ids = (ODD_IDS * 2)[:n]
+    path = tmp_path / "cov.json"
+    write_covariances_json(str(path), ids, ODD_TYPES, covs)
+    want = _oracle_covariances(ids, ODD_TYPES, covs)
+    assert path.read_bytes() == want.encode("utf-8")
+    # a list of per-sample matrices writes the same bytes
+    write_covariances_json(str(path), ids, ODD_TYPES, list(covs))
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_write_json_float_arrays_match_oracle(tmp_path):
+    path = tmp_path / "x.json"
+    a = np.array([[1.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324]])
+    obj = {"a": a, "scalar": np.float64(np.nan), "empty": np.zeros((2, 0)),
+           "ints": np.arange(3), "f32": np.array([0.1], dtype=np.float32)}
+    write_json(str(path), obj)
+    want = _oracle_json({"a": a.tolist(), "scalar": float("nan"),
+                         "empty": [[], []], "ints": [0, 1, 2],
+                         "f32": [float(np.float32(0.1))]}) + "\n"
+    assert path.read_text() == want
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_write_draws_matches_oracle(tmp_path, M):
+    draws = np.stack([_odd_matrix(len(ODD_IDS), len(ODD_TYPES), m)
+                      for m in range(M)])
+    ds = ProportionDrawSet(draws, ODD_IDS, ODD_TYPES, seed=5)
+    out = tmp_path / "draws"
+    write_draws(str(out), ds)
+    want = _oracle_draws(ds)
+    assert sorted(os.listdir(out)) == sorted(want)
+    for name, text in want.items():
+        assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+
+def _pv_file(tmp_path, lines, name="pv.csv", eol="\n"):
+    path = tmp_path / name
+    path.write_bytes(eol.join(lines).encode("utf-8"))
+    return str(path)
+
+
+def _assert_same_pvalues(got, want):
+    assert list(got) == list(want)          # same keys, same order
+    for key in want:
+        assert got[key].dtype == want[key].dtype
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+HEADER = ",".join(PVALUE_HEADER)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_pvalues_reader_matches_oracle(tmp_path, eol):
+    rng = np.random.default_rng(7)
+    groups = [('"u,1"', "A", 5), ("u2", '"B,x"', 1), ("u3", "A", 12),
+              ('"q""t"', "C", 3), ("ü", "A", 2)]
+    rows = [f"{m},{u},{c},{v!r}" for u, c, M in groups for m in range(M)
+            for v in [float(rng.random())]]
+    rows += ["0,u4,A,-0.0", "1,u4,A,1.0", "2,u4,A,5e-324", "3,u4,A,0"]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    rows[3:3] = ["", ""]                    # blank records are skipped
+    path = _pv_file(tmp_path, [HEADER] + rows + ["", ""], eol=eol)
+    want = _oracle_read_pvalues(path)
+    assert [len(v) for v in want.values()] != [5] * len(want)
+    _assert_same_pvalues(read_pvalues_csv(path), want)
+
+
+@pytest.mark.parametrize("lines", [
+    [],
+    [HEADER],
+    [HEADER, ""],
+    [HEADER, "0,u,A,0.5", "0,v,A,0.25", "1,u,A,1e-3"],
+    [HEADER, " 1,u,A,0.5", "+0,u,A, 0.25 ", "1_0,v,A,1", *
+     [f"{m},v,A,1" for m in range(10)]],
+    [HEADER, '0,"multi\nline",A,0.5', "1,\"multi\nline\",A,0.5"],
+], ids=["empty", "header-only", "header-blank", "interleaved",
+        "python-number-syntax", "quoted-newline"])
+def test_pvalues_reader_matches_oracle_on_edge_files(tmp_path, lines):
+    path = _pv_file(tmp_path, lines + ([""] if lines else []))
+    _assert_same_pvalues(read_pvalues_csv(path), _oracle_read_pvalues(path))
+
+
+BAD_PVALUE_FILES = {
+    "bad-header": ["draw,unit,cell,p", "0,u,A,0.5"],
+    "blank-first-record": ["", HEADER, "0,u,A,0.5"],
+    "too-few-fields": [HEADER, "0,u,A,0.5", "1,u,A"],
+    "too-many-fields": [HEADER, "0,u,A,0.5", "1,u,A,0.5,extra"],
+    "one-empty-field": [HEADER, "0,u,A,0.5", '""'],
+    "index-not-a-number": [HEADER, "0,u,A,0.5", "x,u,A,0.5"],
+    "index-not-an-integer": [HEADER, "0,u,A,0.5", "1.0,u,A,0.5"],
+    "p-not-a-number": [HEADER, "0,u,A,0.5", "1,u,A,abc"],
+    "p-nan": [HEADER, "0,u,A,nan"],
+    "p-above-1": [HEADER, "0,u,A,0.5", "1,u,A,1.5"],
+    "p-below-0": [HEADER, "0,u,A,-0.1"],
+    "p-inf": [HEADER, "0,u,A,inf"],
+    "duplicate-index": [HEADER, "0,u,A,0.5", "1,u,A,0.5", "1,u,A,0.7"],
+    "missing-index": [HEADER, "0,u,A,0.5", "2,u,A,0.5"],
+    "missing-zero": [HEADER, "1,u,A,0.5"],
+    "negative-index": [HEADER, "-1,u,A,0.5", "0,u,A,0.5"],
+    "index-beyond-int64": [HEADER, "0,u,A,0.5",
+                           "99999999999999999999,u,A,0.5"],
+    "index-below-int64": [HEADER, "0,u,A,0.5",
+                          "-99999999999999999999,u,A,0.5"],
+    # two errors: the first in file order wins, whatever its kind
+    "number-then-fields": [HEADER, "0,u,A,0.5", "1,u,A,abc", "0,u,A",
+                           "0,v,A,2"],
+    "fields-then-number": [HEADER, "0,u,A,0.5", "1,u,A", "1,u,A,abc"],
+    "range-then-number": [HEADER, "0,u,A,2", "x,u,A,0.5"],
+    # a row error beats an index error that comes earlier in the file
+    "index-then-range": [HEADER, "0,u,A,0.5", "0,u,A,0.5", "0,v,A,7"],
+    # index errors: the hypothesis that appears first wins
+    "two-index-errors": [HEADER, "0,u,A,0.5", "0,v,A,0.5", "1,v,A,0.5",
+                         "1,v,A,0.5", "2,u,A,0.5"],
+    "two-duplicates": [HEADER, "0,u,A,0.5", "0,v,A,0.5", "0,v,A,0.5",
+                       "0,u,A,0.5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PVALUE_FILES))
+def test_pvalues_reader_errors_match_oracle(tmp_path, case):
+    path = _pv_file(tmp_path, BAD_PVALUE_FILES[case] + [""])
+    with pytest.raises(ParseError) as want:
+        _oracle_read_pvalues(path)
+    with pytest.raises(ParseError) as got:
+        read_pvalues_csv(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_pvalues_reader_error_lines_count_records(tmp_path):
+    # CRLF endings, blank records and a quoted newline: the line number is
+    # the record number, as the row-at-a-time reader counted it
+    lines = [HEADER, "0,u,A,0.5", "", '1,"a\nb",A,0.5', "", "1,u,A,9"]
+    for eol in ("\n", "\r\n"):
+        path = _pv_file(tmp_path, lines + [""], eol=eol)
+        with pytest.raises(ParseError, match=r"line 6: p-value 9.0 "):
+            read_pvalues_csv(path)
+        with pytest.raises(ParseError) as want:
+            _oracle_read_pvalues(path)
+        with pytest.raises(ParseError) as got:
+            read_pvalues_csv(path)
+        assert str(got.value) == str(want.value)
