@@ -16,10 +16,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from . import qp
-from .errors import (DecalsError, DimensionMismatch, GeneMismatch, NonFinite,
+from .errors import (DimensionMismatch, GeneMismatch, NonFinite,
                      SingularDesign)
 
 # A proportion this close to 0 sits on the boundary where the normal
@@ -118,19 +118,14 @@ def _sample_ids(Y, n):
 
 def estimate_proportions(W, Y) -> np.ndarray:
     """Simplex-constrained least-squares proportions, shape (n, K): row i is
-    sample i's estimate."""
+    sample i's estimate. One solver call factors W'W once for all samples;
+    an error about one sample names it."""
     Wv, Yv = _values(W), _values(Y)
     if Wv.shape[0] != Yv.shape[0]:
         raise GeneMismatch(
             f"gene dimension mismatch: signature {Wv.shape[0]} vs bulk {Yv.shape[0]}")
-    ids = _sample_ids(Y, Yv.shape[1])
-    out = np.empty((Yv.shape[1], Wv.shape[1]))
-    for i in range(Yv.shape[1]):
-        try:
-            out[i] = qp.solve_simplex_ls(Wv, Yv[:, i])
-        except DecalsError as err:
-            raise type(err)(f"sample {ids[i]}: {err}") from err
-    return out
+    names = [f"sample {sid}" for sid in _sample_ids(Y, Yv.shape[1])]
+    return qp.solve_simplex_ls(Wv, Yv, names=names)
 
 
 def constraint_projector(W) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +180,7 @@ def wald_intervals(P, var, level: float):
     shape; returns (lower, upper) of that shape."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    z = stats.norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     half = z * np.sqrt(np.clip(var, 0.0, None))
     return np.clip(P - half, 0.0, 1.0), np.clip(P + half, 0.0, 1.0)
 

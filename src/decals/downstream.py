@@ -108,18 +108,29 @@ def aggregate_calls(pvalues, alpha: float = 0.05):
     pvalues maps (unit_id, cell_type) -> array of M per-draw p-values. A
     hypothesis is called when its number of draws with p < alpha strictly
     exceeds call_cutoff(M, alpha). Returns a list of CallDecision sorted by
-    (unit_id, cell_type)."""
+    (unit_id, cell_type). The p-values are checked and counted in one pass
+    over all hypotheses stacked; an error names the first bad hypothesis in
+    that order."""
+    keys = sorted(pvalues)
+    arrays = [np.asarray(pvalues[key], dtype=float) for key in keys]
+    # hypotheses before the first one that is not a nonempty vector
+    n_ok = next((h for h, ps in enumerate(arrays)
+                 if ps.ndim != 1 or not len(ps)), len(arrays))
+    lens = np.array([len(ps) for ps in arrays[:n_ok]], dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    flat = np.concatenate(arrays[:n_ok] or [np.zeros(0)])
+    outside = np.add.reduceat(~((flat >= 0) & (flat <= 1)), starts,
+                              dtype=np.int64)
+    if outside.any():
+        unit, ct = keys[int(np.argmax(outside > 0))]
+        raise ValueError(f"p-values for ({unit}, {ct}) outside [0, 1]")
+    if n_ok < len(keys):
+        unit, ct = keys[n_ok]
+        raise DimensionMismatch(
+            f"p-values for ({unit}, {ct}) must be a nonempty vector")
+    hits = np.add.reduceat(flat < alpha, starts, dtype=np.int64)
     decisions = []
-    for (unit, ct), ps in sorted(pvalues.items()):
-        ps = np.asarray(ps, dtype=float)
-        if ps.ndim != 1 or not len(ps):
-            raise DimensionMismatch(
-                f"p-values for ({unit}, {ct}) must be a nonempty vector")
-        if (ps < 0).any() or (ps > 1).any() or not np.isfinite(ps).all():
-            raise ValueError(f"p-values for ({unit}, {ct}) outside [0, 1]")
-        M = len(ps)
+    for (unit, ct), M, h in zip(keys, lens.tolist(), hits.tolist()):
         cut = call_cutoff(M, alpha)
-        hits = int((ps < alpha).sum())
-        decisions.append(CallDecision(str(unit), str(ct), hits, M, cut,
-                                      hits > cut))
+        decisions.append(CallDecision(str(unit), str(ct), h, M, cut, h > cut))
     return decisions

@@ -240,7 +240,14 @@ def read_covariances_json(path: str):
 
 
 def load_estimates(result_dir: str):
-    """Rebuild per-sample estimates from a deconvolution output directory."""
+    """Rebuild per-sample estimates from a deconvolution output directory.
+
+    The directory must hold run_meta.json, which deconvolve writes last, so a
+    run that stopped while writing its results is refused."""
+    meta = os.path.join(result_dir, "run_meta.json")
+    if not os.path.isfile(meta):
+        raise ParseError(f"{meta} is missing: {result_dir} is not a complete "
+                         "deconvolve result")
     pp = os.path.join(result_dir, "proportions.csv")
     cp = os.path.join(result_dir, "covariances.json")
     ids, cell_types, P = read_proportions_csv(pp)

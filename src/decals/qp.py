@@ -6,7 +6,9 @@ The simplex solver is a dual active-set method (Goldfarb-Idnani): start at the
 unconstrained minimizer, impose the sum-to-one equality first, then add violated
 nonnegativity constraints one at a time, taking the dual-feasible step length at
 each move. The design dimension K is small, so per-step systems are solved
-directly against one Cholesky factorization of W'W.
+directly against one Cholesky factorization of W'W. `solve_simplex_ls` takes
+a matrix of responses too: it checks and factors W'W once and runs the active
+set per column, so fitting n samples costs one K x K factorization, not n.
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ _COND_FLOOR = 1e-10
 _CLAMP = 1e-12
 
 
-def _as_problem(W, y):
+def _as_problem(W, y, ndims=(1,)):
     W = np.asarray(W, dtype=float)
     y = np.asarray(y, dtype=float)
-    if W.ndim != 2 or y.ndim != 1 or W.shape[0] != y.shape[0]:
+    if W.ndim != 2 or y.ndim not in ndims or W.shape[0] != y.shape[0]:
         raise DimensionMismatch(
             f"design {W.shape} and response {y.shape} are incompatible")
     p, K = W.shape
     if p < K or K < 2:
         raise DimensionMismatch(f"need p >= K >= 2, got p={p}, K={K}")
-    if not (np.isfinite(W).all() and np.isfinite(y).all()):
+    if not np.isfinite(W).all() or (y.ndim == 1 and not np.isfinite(y).all()):
         raise NonFinite("design or response contains NaN/Inf")
     return W, y
 
@@ -41,10 +43,17 @@ def check_pd(M, floor: float, exc, msg: str) -> None:
 
     M counts as singular when its smallest eigenvalue is at most `floor`
     times its largest, or its largest is not positive. The message gets the
-    eigenvalue range appended."""
+    eigenvalue range appended. A stack M (n, K, K) is checked with one
+    batched eigvalsh; the first failing matrix raises, and the message names
+    its index."""
     w = np.linalg.eigvalsh(M)
-    if w[0] <= floor * w[-1] or w[-1] <= 0.0:
-        raise exc(f"{msg} (eig range [{w[0]:.3e}, {w[-1]:.3e}])")
+    bad = (w[..., 0] <= floor * w[..., -1]) | (w[..., -1] <= 0.0)
+    if not bad.any():
+        return
+    if bad.ndim:                             # a stack: name its first failure
+        i = int(np.argmax(bad))
+        w, msg = w[i], f"matrix {i}: {msg}"
+    raise exc(f"{msg} (eig range [{w[0]:.3e}, {w[-1]:.3e}])")
 
 
 def _gram(W):
@@ -70,15 +79,37 @@ def solve_equality_ls(W, y) -> np.ndarray:
     return pi
 
 
-def solve_simplex_ls(W, y) -> np.ndarray:
+def solve_simplex_ls(W, y, *, names=None) -> np.ndarray:
     """Minimize ||y - W pi||^2 over the probability simplex.
 
     Returns the unique minimizer with every entry >= 0 and sum exactly 1.
     Raises MaxIterations if the active-set loop exceeds 50*(K+1) changes.
+
+    A 2-D y (p, n) returns the (n, K) minimizers of its columns, each equal
+    to its one-column solve: W'W is checked and factored once, W'y_i is
+    formed per column. Every response is checked before any is solved. An
+    error about one column is prefixed with its entry of `names` (default
+    "column i").
     """
-    W, y = _as_problem(W, y)
-    G = _gram(W)
-    return _gi_simplex(G, W.T @ y)
+    W, y = _as_problem(W, y, ndims=(1, 2))
+    if y.ndim == 1:
+        return _gi_simplex(cho_factor(_gram(W)), W.T @ y)
+
+    def name(i):
+        return names[i] if names is not None else f"column {i}"
+
+    bad = ~np.isfinite(y).all(axis=0)
+    if bad.any():
+        raise NonFinite(f"{name(int(np.argmax(bad)))}: design or response "
+                        "contains NaN/Inf")
+    c = cho_factor(_gram(W))
+    out = np.empty((y.shape[1], W.shape[1]))
+    for i in range(y.shape[1]):
+        try:
+            out[i] = _gi_simplex(c, W.T @ y[:, i])
+        except MaxIterations as err:
+            raise MaxIterations(f"{name(i)}: {err}") from None
+    return out
 
 
 def solve_simplex_normal(G, a) -> np.ndarray:
@@ -95,12 +126,12 @@ def solve_simplex_normal(G, a) -> np.ndarray:
         raise NonFinite("normal equations contain NaN/Inf")
     check_pd(0.5 * (G + G.T), _COND_FLOOR, SingularDesign,
              "moment matrix numerically singular")
-    return _gi_simplex(G, a)
+    return _gi_simplex(cho_factor(G), a)
 
 
-def _gi_simplex(G, a) -> np.ndarray:
-    K = G.shape[0]
-    c = cho_factor(G)
+def _gi_simplex(c, a) -> np.ndarray:
+    """Active-set solve against c, a cho_factor of the positive definite G."""
+    K = len(a)
 
     pi = cho_solve(c, a)                     # unconstrained start
     ones = np.ones(K)

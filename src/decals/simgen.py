@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv, ndtr
 
 from .covest import run_decals, subject_covariance
 from .deconv import estimate_proportions, sandwich, wald_intervals
@@ -177,10 +177,11 @@ def sample_gamma_copula(w_k, R_k, n: int, rng, shape_alpha: float = 0.01
     if (w_k <= 0).any():
         raise NonPositiveMean("gamma marginals need strictly positive means")
     z = sample_gaussian_profiles(np.zeros(len(w_k)), R_k, n, rng)
-    u = stats.norm.cdf(z)
+    u = ndtr(z)                              # standard normal CDF
     # avoid the exact endpoints where the inverse CDF is infinite
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return stats.gamma.ppf(u, a=shape_alpha, scale=w_k / shape_alpha)
+    # the Gamma(shape_alpha, scale) quantile is scale * P^{-1}(shape_alpha, u)
+    return (w_k / shape_alpha) * gammaincinv(shape_alpha, u)
 
 
 def perturb_signature(W, a0: float, rng):
@@ -241,7 +242,7 @@ def _iid_baseline(W, Y):
 def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
     """Run one method; return its point estimates and per-coordinate
     variances, both (n, K)."""
-    p, n = Y.shape
+    p = Y.shape[0]
     if method == "ols":
         est, V = _iid_baseline(Wobs, Y)
     elif method == "decals_oracle":
@@ -249,8 +250,8 @@ def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
         V = sandwich(Wobs, Sig, est ** 2) / p
     elif method == "gls_oracle":
         Kmats = subject_covariance(P, Sig)
-        est = np.stack([solve_gls(Wobs, Y[:, i], Kmats[i]) for i in range(n)])
-        V = np.stack([gls_covariance(Wobs, Km) for Km in Kmats]) / p
+        est = solve_gls(Wobs, Y, Kmats)
+        V = gls_covariance(Wobs, Kmats) / p
     elif method in ("decals", "decals_uncorrected", "gls_estimated"):
         opts = dict(options or {})
         if method == "gls_estimated":

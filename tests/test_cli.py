@@ -205,6 +205,22 @@ def test_count_options_rejected_before_reading_or_writing(
     assert not out.exists()
 
 
+def test_sample_refuses_half_written_results(noiseless_data, tmp_path,
+                                             capsys):
+    # a deconvolve that stopped before its last file leaves no run_meta.json
+    root, _, _ = noiseless_data
+    res = tmp_path / "res"
+    assert _deconvolve(root, res) == EXIT_OK
+    (res / "run_meta.json").unlink()
+    draws_dir = tmp_path / "draws"
+    code = main(["sample", "--results", str(res), "--draws", "3",
+                 "--out", str(draws_dir)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run_meta.json is missing" in err
+    assert not draws_dir.exists()
+
+
 def test_sample_missing_results_dir(tmp_path, capsys):
     code = main(["sample", "--results", str(tmp_path / "nope"),
                  "--draws", "2", "--out", str(tmp_path / "d")])

@@ -178,6 +178,56 @@ def test_aggregate_rejects_bad_pvalues():
         aggregate_calls({("u", "t"): []})
 
 
+def _aggregate_loop(pvalues, alpha=0.05):
+    """The per-hypothesis loop aggregate_calls replaced: the oracle."""
+    decisions = []
+    for (unit, ct), ps in sorted(pvalues.items()):
+        ps = np.asarray(ps, dtype=float)
+        if ps.ndim != 1 or not len(ps):
+            raise DimensionMismatch(
+                f"p-values for ({unit}, {ct}) must be a nonempty vector")
+        if (ps < 0).any() or (ps > 1).any() or not np.isfinite(ps).all():
+            raise ValueError(f"p-values for ({unit}, {ct}) outside [0, 1]")
+        M = len(ps)
+        cut = call_cutoff(M, alpha)
+        hits = int((ps < alpha).sum())
+        decisions.append(CallDecision(str(unit), str(ct), hits, M, cut,
+                                      hits > cut))
+    return decisions
+
+
+def _outcome(fn, pvalues, alpha):
+    try:
+        return fn(pvalues, alpha)
+    except (ValueError, DimensionMismatch) as err:
+        return type(err), str(err)
+
+
+def test_aggregate_matches_the_per_hypothesis_loop():
+    rng = np.random.default_rng(23)
+    bad_values = [-0.1, 1.5, np.nan, np.inf, -np.inf]
+    for trial in range(60):
+        n = int(rng.integers(0, 12))
+        pv = {}
+        for h in range(n):
+            M = int(rng.integers(1, 40))
+            ps = rng.choice([0.0, 0.01, 0.05, 0.3, 1.0], M) \
+                if trial % 2 else rng.uniform(size=M)
+            pv[(f"u{rng.integers(0, 5)}", f"t{h}")] = ps
+        keys = list(pv)
+        for _ in range(int(rng.integers(0, 3)) if keys else 0):
+            key = keys[int(rng.integers(len(keys)))]
+            if rng.random() < 0.5:
+                pv[key] = np.array(pv[key])
+                pv[key][int(rng.integers(len(pv[key])))] = \
+                    bad_values[int(rng.integers(len(bad_values)))]
+            else:
+                pv[key] = [] if rng.random() < 0.5 else np.ones((2, 2))
+        for alpha in (0.05, 0.3):
+            assert _outcome(aggregate_calls, pv, alpha) == \
+                _outcome(_aggregate_loop, pv, alpha), (trial, alpha)
+
+
 def test_null_false_call_rate_matches_binomial_tail():
     # Under the null each draw's p-value is U(0,1), so the hit count is
     # Binomial(M, alpha) and the false-call probability is the exact tail

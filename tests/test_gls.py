@@ -7,9 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import enum_simplex_ls
-from decals import qp
+from decals import gls, qp
 from decals.deconv import estimate_proportions, theorem1_covariance
-from decals.errors import NonConvergenceWarning, SingularSigma
+from decals.errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
+                           SingularSigma)
 from decals.gls import gls_covariance, run_gls_iterative, solve_gls
 
 
@@ -163,3 +164,126 @@ def test_oracle_weighting_recovers_truth_better_than_identity():
         err_gls += np.abs(solve_gls(W, y, S) - pi).sum()
         err_ols += np.abs(qp.solve_simplex_ls(W, y) - pi).sum()
     assert err_gls < err_ols
+
+
+def _old_floored_eig(S):
+    # oracle: whitening by the floored eigendecomposition, one sample at a time
+    w, Q = np.linalg.eigh(0.5 * (S + S.T))
+    return np.maximum(w, 1e-10 * w[-1]), Q
+
+
+def _old_solve_gls(W, y, S):
+    w, Q = _old_floored_eig(S)
+    rw = 1.0 / np.sqrt(w)
+    return qp.solve_simplex_ls(rw[:, None] * (Q.T @ W), rw * (Q.T @ y))
+
+
+def _old_gram(W, S):
+    w, Q = _old_floored_eig(S)
+    QtW = Q.T @ W
+    return QtW.T @ (QtW / w[:, None])
+
+
+def _old_gls_covariance(W, S):
+    Ai = np.linalg.inv(_old_gram(W, S))
+    s = Ai.sum(axis=1)
+    V = W.shape[0] * (Ai - np.outer(s, s) / s.sum())
+    return 0.5 * (V + V.T)
+
+
+def _spectrum_cov(rng, eigenvalues):
+    # a symmetric matrix with the given eigenvalues, random eigenvectors
+    p = len(eigenvalues)
+    Q, _ = np.linalg.qr(rng.normal(0, 1, (p, p)))
+    return (Q * eigenvalues) @ Q.T
+
+
+def _mixed_stack(rng, p):
+    """PD, rank-one, indefinite (positive top) and PD-with-condition-1e12
+    subject covariances, in that order."""
+    v = rng.normal(0, 1, p)
+    return np.stack([_rand_cov(rng, p), np.outer(v, v),
+                     _spectrum_cov(rng, np.linspace(-0.5, 1.0, p)),
+                     _spectrum_cov(rng, np.logspace(0, -12, p))])
+
+
+@pytest.fixture
+def floored_calls(monkeypatch):
+    """Counts the chunks that take the floored eigendecomposition."""
+    calls = []
+    real = gls._floored_eig
+
+    def counting(S):
+        calls.append(len(S))
+        return real(S)
+
+    monkeypatch.setattr(gls, "_floored_eig", counting)
+    return calls
+
+
+def test_whitening_path_follows_the_floor(floored_calls):
+    rng = np.random.default_rng(11)
+    p = 24
+    W, pi = _design(rng, p=p)
+    y = W @ pi + rng.normal(0, 1, p)
+    S_ok = _rand_cov(rng, p)
+    assert np.linalg.eigvalsh(S_ok)[0] > 1e-3 * np.linalg.eigvalsh(S_ok)[-1]
+    assert_allclose(solve_gls(W, y, S_ok), _old_solve_gls(W, y, S_ok),
+                    rtol=1e-12, atol=1e-14)
+    assert_allclose(gls_covariance(W, S_ok), _old_gls_covariance(W, S_ok),
+                    rtol=1e-12, atol=1e-14)
+    assert floored_calls == []               # Cholesky path both times
+    # positive definite, but the floor acts: the second Cholesky must refuse
+    S_ill = _spectrum_cov(rng, np.logspace(0, -12, p))
+    np.linalg.cholesky(S_ill)
+    assert_allclose(solve_gls(W, y, S_ill), _old_solve_gls(W, y, S_ill),
+                    rtol=1e-12, atol=1e-14)
+    assert_allclose(gls_covariance(W, S_ill), _old_gls_covariance(W, S_ill),
+                    rtol=1e-9)
+    assert floored_calls == [1, 1]
+
+
+@pytest.mark.parametrize("chunk", ["one", "two", "all"])
+def test_stacked_calls_equal_one_sample_calls(chunk, monkeypatch):
+    rng = np.random.default_rng(12)
+    p = 20
+    W, _ = _design(rng, p=p)
+    S = np.concatenate([_mixed_stack(rng, p), _mixed_stack(rng, p)[::-1],
+                        np.stack([_rand_cov(rng, p) for _ in range(3)])])
+    n = len(S)
+    P = rng.dirichlet([3, 2, 1], n)
+    Y = W @ P.T + rng.normal(0, 1, (p, n))
+    per = {"one": 1, "two": 2, "all": n}[chunk]
+    monkeypatch.setattr(gls, "_WHITEN_BYTES", per * p * p * 8)
+    est = solve_gls(W, Y, S)
+    V = gls_covariance(W, S)
+    assert est.shape == (n, 3) and V.shape == (n, 3, 3)
+    for i in range(n):
+        assert_allclose(est[i], solve_gls(W, Y[:, i], S[i]), rtol=1e-12,
+                        atol=1e-14)
+        assert_allclose(V[i], gls_covariance(W, S[i]), rtol=1e-12, atol=1e-14)
+        # and the old eigendecomposition-only kernel, up to rounding, which
+        # a floored indefinite Sigma amplifies by cond(W' Sigma^{-1} W) ~ 1e9
+        tol = max(1e-12, 1e-15 * np.linalg.cond(_old_gram(W, S[i])))
+        assert_allclose(est[i], _old_solve_gls(W, Y[:, i], S[i]), rtol=tol,
+                        atol=tol)
+        assert_allclose(V[i], _old_gls_covariance(W, S[i]), rtol=tol,
+                        atol=1e-14)
+
+
+def test_stacked_shapes_are_checked():
+    rng = np.random.default_rng(13)
+    W, _ = _design(rng, p=10)
+    S = np.stack([np.eye(10)] * 3)
+    with pytest.raises(DimensionMismatch):
+        solve_gls(W, np.ones((10, 2)), S)     # 2 responses, 3 covariances
+    with pytest.raises(DimensionMismatch):
+        solve_gls(W, np.ones(10), S)
+    with pytest.raises(DimensionMismatch):
+        gls_covariance(W, np.eye(9))
+    with pytest.raises(NonFinite):
+        S[1, 2, 3] = np.nan
+        gls_covariance(W, S)
+    with pytest.raises(SingularSigma):
+        solve_gls(W, np.ones((10, 3)), np.stack([np.eye(10), -np.eye(10),
+                                                 np.eye(10)]))

@@ -167,6 +167,7 @@ def test_load_estimates_round_trip_and_mismatch(tmp_path):
                           ["s1", "s2"], ["A", "B"], P)
     write_covariances_json(str(tmp_path / "covariances.json"),
                            ["s1", "s2"], ["A", "B"], V)
+    (tmp_path / "run_meta.json").write_text("{}\n")
     ests, cts = load_estimates(str(tmp_path))
     assert cts == ["A", "B"]
     assert [e.sample_id for e in ests] == ["s1", "s2"]
@@ -178,6 +179,16 @@ def test_load_estimates_round_trip_and_mismatch(tmp_path):
     write_covariances_json(str(tmp_path / "covariances.json"),
                            ["s1", "sX"], ["A", "B"], V)
     with pytest.raises(ParseError, match="disagree"):
+        load_estimates(str(tmp_path))
+
+
+def test_load_estimates_requires_run_meta(tmp_path):
+    # deconvolve writes run_meta.json last: without it the run is incomplete
+    write_proportions_csv(str(tmp_path / "proportions.csv"), ["s1"],
+                          ["A", "B"], np.array([[0.6, 0.4]]))
+    write_covariances_json(str(tmp_path / "covariances.json"), ["s1"],
+                           ["A", "B"], np.zeros((1, 2, 2)))
+    with pytest.raises(ParseError, match="run_meta.json is missing"):
         load_estimates(str(tmp_path))
 
 

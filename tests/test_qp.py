@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from conftest import enum_simplex_ls, pg_simplex_ls, random_instance
 from decals import qp
-from decals.errors import DimensionMismatch, NonFinite, SingularDesign
+from decals.errors import (DimensionMismatch, MaxIterations, NonFinite,
+                           SingularDesign)
 
 
 def test_noiseless_vertex_and_interior():
@@ -161,3 +162,57 @@ def test_check_pd_raises_the_callers_exception(exc):
         qp.check_pd(np.diag([1.0, 1e-10]), 1e-10, exc, "at floor")
     with pytest.raises(exc, match="not positive"):
         qp.check_pd(-np.eye(2), 1e-10, exc, "not positive")
+
+
+def test_check_pd_on_a_stack_names_the_first_failing_matrix():
+    M = np.stack([np.eye(2), np.diag([1.0, 1e-9]), np.diag([1.0, 1e-12]),
+                  -np.eye(2)])
+    qp.check_pd(M[:2], 1e-10, SingularDesign, "fine")
+    with pytest.raises(SingularDesign,
+                       match=r"^matrix 2: bad \(eig range \[1\.000e-12, "):
+        qp.check_pd(M, 1e-10, SingularDesign, "bad")
+
+
+def test_matrix_response_equals_column_solves_bytewise():
+    rng = np.random.default_rng(10)
+    for K in (2, 3, 6):
+        W = rng.normal(0, 1, (40, K))
+        P = rng.dirichlet(np.ones(K), 30)
+        P[:10] = 0.0
+        P[:10, 0] = 1.0                      # vertices
+        Y = W @ P.T + rng.normal(0, 1.5, (40, 30))
+        Y[:, 20:] = rng.normal(0, 3, (40, 10))   # mostly boundary optima
+        X = qp.solve_simplex_ls(W, Y)
+        assert X.shape == (30, K)
+        for i in range(30):
+            assert np.array_equal(X[i], qp.solve_simplex_ls(W, Y[:, i]))
+    assert qp.solve_simplex_ls(W, Y[:, :0]).shape == (0, 6)
+
+
+def test_matrix_response_errors_name_the_column(monkeypatch):
+    rng = np.random.default_rng(11)
+    W = rng.normal(0, 1, (10, 3))
+    Y = rng.normal(0, 1, (10, 4))
+    Y[3, 2] = np.inf
+    Y[0, 3] = np.nan
+    with pytest.raises(NonFinite, match="^column 2: design or response"):
+        qp.solve_simplex_ls(W, Y)
+    with pytest.raises(NonFinite, match="^sample c: "):
+        qp.solve_simplex_ls(W, Y, names=["a", "b", "sample c", "d"])
+    with pytest.raises(SingularDesign, match="^W'W numerically singular"):
+        qp.solve_simplex_ls(np.column_stack([W[:, 0], W]), Y[:, :2])
+    with pytest.raises(DimensionMismatch):
+        qp.solve_simplex_ls(W, Y[:9])
+    with pytest.raises(DimensionMismatch):
+        qp.solve_equality_ls(W, Y)           # one response only
+    calls = []
+
+    def capped(c, a):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MaxIterations("active-set change cap exceeded")
+        return np.full(3, 1 / 3)
+
+    monkeypatch.setattr(qp, "_gi_simplex", capped)
+    with pytest.raises(MaxIterations, match="^column 1: active-set change"):
+        qp.solve_simplex_ls(W, Y[:, :2])

@@ -91,6 +91,19 @@ def test_gamma_copula_marginals():
         sample_gamma_copula(np.array([1.0, -2.0]), np.eye(2), 10, rng)
 
 
+def test_gamma_copula_matches_scipy_stats_bitwise():
+    # the package draws through scipy.special; scipy.stats gives the same bits
+    R = block_correlations(30, 3)[1]
+    w = np.abs(np.random.default_rng(5).normal(0, 1, 30)) + 0.1
+    X = sample_gamma_copula(w, R, 400, np.random.default_rng(6))
+    z = sample_gaussian_profiles(np.zeros(30), R, 400,
+                                 np.random.default_rng(6))
+    u = np.clip(stats.norm.cdf(z), 1e-300, 1.0 - 1e-16)
+    ref = stats.gamma.ppf(u, a=0.01, scale=w / 0.01)
+    assert (X > 0).any() and (X == 0).any()  # both regimes of the quantile
+    assert np.array_equal(X, ref)
+
+
 def test_gamma_copula_dependence_sign():
     rng = np.random.default_rng(4)
     R = np.array([[1.0, 0.9], [0.9, 1.0]])
