@@ -9,36 +9,32 @@ downstream analyses by resampling.
 
 __version__ = "0.1.0"
 
-from .covest import (BiasTerms, CtsCovarianceSet, DecalsResult, bias_terms,
-                     cross_validate_lambda, cts_covariance_corrected,
-                     cts_covariance_raw, run_decals, scad_threshold,
+from .covest import (DecalsResult, cross_validate_lambda,
+                     cts_covariance_corrected, run_decals, scad_threshold,
                      subject_covariance)
-from .deconv import (BulkMatrix, ProportionEstimate, SignatureMatrix,
-                     align_genes, confidence_intervals, estimate_proportions,
-                     sandwich, theorem1_covariance, wald_intervals)
+from .deconv import (BulkMatrix, SignatureMatrix, align_genes,
+                     estimate_proportions, sandwich, wald_intervals)
 from .downstream import (CallDecision, ProportionDrawSet, aggregate_calls,
                          call_cutoff, sample_proportion_sets)
 from .errors import DecalsError, NonConvergenceWarning
 from .gls import gls_covariance, run_gls_iterative, solve_gls
 from .io import read_bulk_tsv, read_signature_tsv
-from .qp import kkt_residual, nearest_psd, solve_equality_ls, solve_simplex_ls
+from .qp import nearest_psd, solve_simplex_ls
 from .simgen import (CoverageReport, SimConfig, VErrorTable,
                      coverage_experiment, v_error_study)
 
 __all__ = [
     "__version__",
-    "BiasTerms", "CtsCovarianceSet", "DecalsResult", "bias_terms",
-    "cross_validate_lambda", "cts_covariance_corrected", "cts_covariance_raw",
+    "DecalsResult", "cross_validate_lambda", "cts_covariance_corrected",
     "run_decals", "scad_threshold", "subject_covariance",
-    "BulkMatrix", "ProportionEstimate", "SignatureMatrix",
-    "align_genes", "confidence_intervals", "estimate_proportions",
-    "sandwich", "theorem1_covariance", "wald_intervals",
+    "BulkMatrix", "SignatureMatrix", "align_genes", "estimate_proportions",
+    "sandwich", "wald_intervals",
     "CallDecision", "ProportionDrawSet", "aggregate_calls", "call_cutoff",
     "sample_proportion_sets",
     "DecalsError", "NonConvergenceWarning",
     "gls_covariance", "run_gls_iterative", "solve_gls",
     "read_bulk_tsv", "read_signature_tsv",
-    "kkt_residual", "nearest_psd", "solve_equality_ls", "solve_simplex_ls",
+    "nearest_psd", "solve_simplex_ls",
     "CoverageReport", "SimConfig", "VErrorTable", "coverage_experiment",
     "v_error_study",
 ]

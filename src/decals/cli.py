@@ -24,7 +24,8 @@ from .downstream import aggregate_calls, sample_proportion_sets
 from .errors import (DecalsError, DimensionMismatch, DivisibilityError,
                      GeneMismatch, InsufficientSamples, NonFinite,
                      NonPositiveMean, ParseError)
-from .simgen import SimConfig, coverage_experiment, v_error_study
+from .simgen import (SimConfig, coverage_experiment, resolve_workers,
+                     v_error_study)
 
 EXIT_OK, EXIT_INPUT, EXIT_NUMERIC = 0, 2, 3
 
@@ -58,9 +59,9 @@ def _versions():
             "python": ".".join(map(str, sys.version_info[:3]))}
 
 
-def _check_level(level: float) -> None:
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"--level must be in (0, 1), got {level}")
+def _check_fraction(flag: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{flag} must be in (0, 1), got {value}")
 
 
 def _check_min(flag: str, value: int, low: int) -> None:
@@ -69,9 +70,11 @@ def _check_min(flag: str, value: int, low: int) -> None:
 
 
 def cmd_deconvolve(args) -> int:
-    _check_level(args.level)
+    _check_fraction("--level", args.level)
     _check_min("--seed", args.seed, 0)
     _check_min("--max-iter", args.max_iter, 1)
+    if not args.tol > 0.0:                   # NaN or <= 0 never converges
+        raise ValueError(f"--tol must be > 0, got {args.tol}")
     sig = io.read_signature_tsv(args.signature)
     bulk = io.read_bulk_tsv(args.bulk)
     collected: list[str] = []
@@ -84,12 +87,11 @@ def cmd_deconvolve(args) -> int:
     collected += [str(w.message) for w in wrec]
 
     os.makedirs(args.out, exist_ok=True)
-    P = np.stack([e.proportions for e in res.estimates])
-    ids = [e.sample_id for e in res.estimates]
+    P, V = res.proportions, res.covariances
+    ids = Ya.sample_ids
     cts = sig.cell_types
     io.write_proportions_csv(os.path.join(args.out, "proportions.csv"),
                              ids, cts, P)
-    V = np.stack([e.covariance for e in res.estimates])
     io.write_covariances_json(os.path.join(args.out, "covariances.json"),
                               ids, cts, V)
     lo, hi = wald_intervals(P, np.einsum('nkk->nk', V), args.level)
@@ -144,8 +146,13 @@ def _print_report(report) -> None:
 
 
 def cmd_simulate(args) -> int:
-    _check_level(args.level)
+    _check_fraction("--level", args.level)
     _check_min("--gls-max-iter", args.gls_max_iter, 1)
+    if args.replicates is not None:
+        _check_min("--replicates", args.replicates, 1)
+    if args.workers is not None:
+        _check_min("--workers", args.workers, 1)
+    workers = resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
     if args.preset == "tableS1":
         sizes = _SCALES[args.scale]
@@ -177,7 +184,7 @@ def cmd_simulate(args) -> int:
             opts = ({"max_iter": args.gls_max_iter}
                     if method == "gls_estimated" else None)
             report = coverage_experiment(config, method, level=args.level,
-                                         workers=args.workers,
+                                         workers=workers,
                                          method_options=opts)
             tag = method if args.preset != "noise" else f"{method}_a{a0:g}"
             io.write_json(os.path.join(args.out, f"report_{tag}.json"),
@@ -198,15 +205,16 @@ def cmd_simulate(args) -> int:
 def cmd_sample(args) -> int:
     _check_min("--seed", args.seed, 0)
     _check_min("--draws", args.draws, 1)
-    ests, cell_types = io.load_estimates(args.results)
-    ds = sample_proportion_sets(ests, args.draws, seed=args.seed,
-                                cell_types=cell_types)
+    ids, cell_types, P, V = io.load_estimates(args.results)
+    ds = sample_proportion_sets(P, V, args.draws, seed=args.seed,
+                                sample_ids=ids, cell_types=cell_types)
     manifest = io.write_draws(args.out, ds)
     print(f"wrote {args.draws} draw files and {manifest}")
     return EXIT_OK
 
 
 def cmd_aggregate(args) -> int:
+    _check_fraction("--alpha", args.alpha)
     if args.draws is not None:
         _check_min("--draws", args.draws, 1)
     pvals = io.read_pvalues_csv(args.pvalues)
@@ -275,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replicates", type=int, default=None,
                    help="override the scale's replicate count")
     s.add_argument("--level", type=float, default=0.95)
-    s.add_argument("--workers", type=int,
-                   default=int(os.environ.get("DECALS_WORKERS", "1")),
+    s.add_argument("--workers", type=int, default=None,
                    help="replicate worker processes (default "
                         "$DECALS_WORKERS or 1)")
     s.add_argument("--gls-max-iter", type=int, default=2,

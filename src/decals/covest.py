@@ -3,8 +3,8 @@
 Residual products z_ij z_ij' regress on squared proportions to recover the
 per-type covariance entries Sigma^(k)_jj'. Because estimated proportions enter
 the regressors, the moment matrix H'H and the regressor matrix H are biased;
-bias_terms computes the correction (B1, B2) implied by a Gaussian model for the
-estimation error. Correlation-scale SCAD thresholding with a cross-validated
+`_bias_arrays` computes the correction (B1, B2) implied by a Gaussian model for
+the estimation error. Correlation-scale SCAD thresholding with a cross-validated
 level sparsifies each Sigma^(k); a PSD projection restores validity. The
 cross-validation loss is exact for every grid level, computed for the whole
 grid in one pass, and streams the cell types so that it holds the p x p
@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qp
-from .deconv import (ProportionEstimate, constraint_projector,
-                     estimate_proportions, sandwich, _package_estimates,
-                     _sample_ids, _values)
+from .deconv import (BOUNDARY_TOL, constraint_projector,
+                     estimate_proportions, sandwich, _values)
 from .errors import (DimensionMismatch, InsufficientSamples,
                      NonConvergenceWarning, SingularCorrectedMoment,
                      SingularMomentMatrix)
@@ -41,32 +40,20 @@ _SCAD_A = 3.7
 
 
 @dataclass
-class CtsCovarianceSet:
-    """K symmetric p x p covariance matrices, one per cell type."""
-    matrices: np.ndarray                     # (K, p, p)
-    cell_types: list[str]
-
-    def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=float)
-
-
-@dataclass
-class BiasTerms:
-    """Finite-sample bias of the moment regression under estimated proportions.
-
-    B1 corrects H'H (K x K, symmetric); B2 corrects H row-wise (n x K)."""
-    B1: np.ndarray
-    B2: np.ndarray
-
-
-@dataclass
 class DecalsResult:
-    estimates: list[ProportionEstimate]
-    cts_covariances: CtsCovarianceSet
+    """One fit; row i of each per-sample array is bulk matrix column i."""
+    proportions: np.ndarray                  # (n, K), rows on the simplex
+    covariances: np.ndarray                  # (n, K, K), of the estimate (/p)
+    cts_covariances: np.ndarray              # (K, p, p), one per cell type
     iterations: int
     converged: bool
     lambdas: np.ndarray | None = None        # per-type SCAD levels, sparse mode
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def on_boundary(self) -> np.ndarray:
+        """(n,) mask of the samples with a proportion below BOUNDARY_TOL."""
+        return self.proportions.min(axis=1) < BOUNDARY_TOL
 
 
 def residuals(W, Y, proportions) -> np.ndarray:
@@ -88,14 +75,6 @@ def _moment_weights(H_hat):
     return H, np.linalg.solve(M, H.T)        # C: (K, n)
 
 
-def cts_covariance_raw(H_hat, Z, pair) -> np.ndarray:
-    """Raw regression estimate of (Sigma^(1)_jj', ..., Sigma^(K)_jj')."""
-    H, C = _moment_weights(H_hat)
-    Z = np.asarray(Z, dtype=float)
-    j, jp = pair
-    return C @ (Z[j] * Z[jp])
-
-
 def _sym_moment(Z, c) -> np.ndarray:
     """Symmetrized weighted residual moment 0.5*(S + S') of S = (Z*c) Z'."""
     S = (Z * c) @ Z.T
@@ -110,8 +89,9 @@ def cts_covariance_raw_all(H_hat, Z) -> np.ndarray:
 
 
 def _bias_arrays(P, V, p):
-    """B1/B2 from proportions P (n,K) and covariances V (n,K,K) at the
-    sqrt(p)-scale (covariance of sqrt(p) * estimation error)."""
+    """Bias terms B1 = E[H'H] - H'H (K x K) and B2 = E[H] - H (n x K) under
+    Gaussian estimation error, from proportions P (n,K) and covariances V
+    (n,K,K) at the sqrt(p)-scale (covariance of sqrt(p) * estimation error)."""
     P = np.asarray(P, dtype=float)
     V = np.asarray(V, dtype=float)
     n, K = P.shape
@@ -125,28 +105,17 @@ def _bias_arrays(P, V, p):
     return 0.5 * (B1 + B1.T), B2
 
 
-def bias_terms(estimates: list[ProportionEstimate], p: int) -> BiasTerms:
-    """Bias of the moment regression implied by the estimates' covariances.
-
-    E[H'H] - H'H and E[H] - H under Gaussian estimation error with the stored
-    per-sample covariances (which are at the /p scale, hence the rescale)."""
-    P = np.stack([np.asarray(e.proportions, dtype=float) for e in estimates])
-    V = np.stack([np.asarray(e.covariance, dtype=float) for e in estimates]) * p
-    B1, B2 = _bias_arrays(P, V, p)
-    return BiasTerms(B1, B2)
-
-
-def cts_covariance_corrected(H_hat, Z, bias: BiasTerms) -> np.ndarray:
+def cts_covariance_corrected(H_hat, Z, B1, B2) -> np.ndarray:
     """Bias-corrected covariance estimates, (K, p, p), symmetrized.
 
     Solves {H'H - B1} C = (H - B2)' and assembles sum_i C_ki z_i z_i'.
     Raises SingularCorrectedMoment when H'H - B1 is not positive definite."""
     H = np.asarray(H_hat, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    M = H.T @ H - bias.B1
+    M = H.T @ H - B1
     qp.check_pd(0.5 * (M + M.T), _CORRECTED_EIG_FLOOR, SingularCorrectedMoment,
                 "corrected moment matrix not positive definite")
-    C = np.linalg.solve(M, (H - bias.B2).T)
+    C = np.linalg.solve(M, (H - B2).T)
     return np.stack([_sym_moment(Z, c) for c in C])
 
 
@@ -284,13 +253,13 @@ def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0
     return grid[np.argmin(_cv_losses(Z, H, folds, grid, seed), axis=1)]
 
 
-def subject_covariance(proportions, cts: CtsCovarianceSet | np.ndarray
-                       ) -> np.ndarray:
+def subject_covariance(proportions, cts) -> np.ndarray:
     """Subject-level error covariance sum_k pi_k^2 Sigma^(k).
 
-    Proportions of shape (..., K) give covariances of shape (..., p, p)."""
+    Proportions of shape (..., K) and per-type covariances cts (K, p, p)
+    give covariances of shape (..., p, p)."""
     pi = np.asarray(proportions, dtype=float)
-    M = np.asarray(getattr(cts, "matrices", cts), dtype=float)
+    M = np.asarray(cts, dtype=float)
     if pi.shape[-1] != M.shape[0]:
         raise DimensionMismatch(
             f"{pi.shape[-1]} proportions vs {M.shape[0]} covariance matrices")
@@ -357,7 +326,7 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
         if use_correct:
             B1, B2 = _bias_arrays(P, V, p)
             try:
-                Sk = cts_covariance_corrected(H, Z, BiasTerms(B1, B2))
+                Sk = cts_covariance_corrected(H, Z, B1, B2)
             except SingularCorrectedMoment as err:
                 tripped = True
                 msg = (f"iteration {t}: {err}; bias correction disabled, "
@@ -384,7 +353,5 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
         run_warnings.append(msg)
         warnings.warn(msg, NonConvergenceWarning)
 
-    estimates = _package_estimates(P, V / p, _sample_ids(Y, n))
-    cell_types = list(getattr(W, "cell_types", [str(k) for k in range(K)]))
-    return DecalsResult(estimates, CtsCovarianceSet(Sk, cell_types),
-                        iterations, converged, lambdas, run_warnings)
+    return DecalsResult(P, V / p, Sk, iterations, converged, lambdas,
+                        run_warnings)

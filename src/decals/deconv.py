@@ -5,15 +5,15 @@ covariance of the estimator follows the sandwich form V = U D U' built from the
 design Gram matrix and a subject-level residual covariance; V has null vector 1
 because the sum-to-one constraint removes variation along it. `sandwich`
 builds V for every sample at once at the sqrt(p) scale, so that V/p is the
-covariance of the estimate itself; ProportionEstimate stores the /p scale
-since that is what intervals use, and `wald_intervals` builds them for every
+covariance of the estimate itself; a fit result stores the /p scale since
+that is what intervals use, and `wald_intervals` builds them for every
 sample at once.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -65,19 +65,6 @@ class BulkMatrix:
             raise NonFinite("bulk matrix contains NaN/Inf")
 
 
-@dataclass
-class ProportionEstimate:
-    """Per-sample proportion estimate with its K x K sampling covariance.
-
-    `covariance` is the covariance of the estimate (the /p scale used for
-    interval construction). For the constrained estimator it is PSD with
-    null vector 1."""
-    proportions: np.ndarray
-    covariance: np.ndarray
-    sample_id: str = ""
-    warnings: list[str] = field(default_factory=list)
-
-
 def _values(x):
     return np.asarray(getattr(x, "values", x), dtype=float)
 
@@ -111,11 +98,6 @@ def align_genes(W: SignatureMatrix, Y: BulkMatrix):
     return Wa, Ya
 
 
-def _sample_ids(Y, n):
-    ids = getattr(Y, "sample_ids", None)
-    return list(ids) if ids is not None else [str(i) for i in range(n)]
-
-
 def estimate_proportions(W, Y) -> np.ndarray:
     """Simplex-constrained least-squares proportions, shape (n, K): row i is
     sample i's estimate. One solver call factors W'W once for all samples;
@@ -124,7 +106,8 @@ def estimate_proportions(W, Y) -> np.ndarray:
     if Wv.shape[0] != Yv.shape[0]:
         raise GeneMismatch(
             f"gene dimension mismatch: signature {Wv.shape[0]} vs bulk {Yv.shape[0]}")
-    names = [f"sample {sid}" for sid in _sample_ids(Y, Yv.shape[1])]
+    ids = getattr(Y, "sample_ids", range(Yv.shape[1]))
+    names = [f"sample {sid}" for sid in ids]
     return qp.solve_simplex_ls(Wv, Yv, names=names)
 
 
@@ -162,17 +145,6 @@ def sandwich(W, S, H) -> np.ndarray:
     return 0.5 * (V + V.transpose(0, 2, 1))
 
 
-def theorem1_covariance(W, Sigma_i) -> np.ndarray:
-    """Asymptotic covariance V of sqrt(p) * (estimate - truth) for one sample
-    with subject covariance Sigma_i: the one-sample `sandwich`."""
-    Wv, Sv = _values(W), _values(Sigma_i)
-    p = Wv.shape[0]
-    if Sv.shape != (p, p):
-        raise DimensionMismatch(
-            f"subject covariance {Sv.shape} does not match p={p}")
-    return sandwich(Wv, Sv[None], np.ones((1, 1)))[0]
-
-
 def wald_intervals(P, var, level: float):
     """Wald intervals estimate +- z * sd, truncated to [0, 1].
 
@@ -183,20 +155,3 @@ def wald_intervals(P, var, level: float):
     z = ndtri(0.5 * (1.0 + level))
     half = z * np.sqrt(np.clip(var, 0.0, None))
     return np.clip(P - half, 0.0, 1.0), np.clip(P + half, 0.0, 1.0)
-
-
-def confidence_intervals(est: ProportionEstimate, level: float = 0.95) -> np.ndarray:
-    """Per-coordinate Wald intervals of one estimate, truncated to [0, 1].
-    Shape (K, 2)."""
-    var = np.diag(np.asarray(est.covariance, dtype=float))
-    return np.column_stack(wald_intervals(est.proportions, var, level))
-
-
-def _package_estimates(P, V, ids) -> list[ProportionEstimate]:
-    """One ProportionEstimate per row of P (n, K) with covariance V[i] at the
-    /p scale; an estimate with an entry below BOUNDARY_TOL carries a warning."""
-    msg = ("proportion at the simplex boundary; normal approximation may be "
-           "unreliable")
-    return [ProportionEstimate(P[i].copy(), V[i], sid,
-                               [msg] if P[i].min() < BOUNDARY_TOL else [])
-            for i, sid in enumerate(ids)]

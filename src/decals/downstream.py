@@ -1,6 +1,6 @@
 """Propagating proportion uncertainty into downstream analyses.
 
-Two pieces: draw simplex-valued proportion sets from each estimate's Gaussian
+Two pieces: draw simplex-valued proportion sets from each sample's Gaussian
 approximation, and aggregate per-draw test decisions into final calls with a
 cutoff that accounts for the extra variability injected by the draws.
 """
@@ -43,16 +43,14 @@ class CallDecision:
     called: bool
 
 
-def _raw_draws(estimates, M: int, rng) -> np.ndarray:
-    """Gaussian draws around each estimate before the simplex projection.
+def _raw_draws(P, V, M: int, rng) -> np.ndarray:
+    """Draws (M, n, K) from N(P[i], V[i]) before the simplex projection.
 
     Each covariance's root is its symmetric part's eigenvectors scaled by
     the square roots of the eigenvalues, negative ones clipped to zero."""
-    V = np.stack([np.asarray(e.covariance, dtype=float) for e in estimates])
     w, Q = np.linalg.eigh(0.5 * (V + V.transpose(0, 2, 1)))
     roots = Q * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-    z = rng.standard_normal((len(estimates), M, roots.shape[-1]))
-    P = np.stack([e.proportions for e in estimates])
+    z = rng.standard_normal((len(P), M, roots.shape[-1]))
     return (P[:, None, :] + z @ roots.transpose(0, 2, 1)).transpose(1, 0, 2)
 
 
@@ -69,24 +67,29 @@ def project_draws(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_proportion_sets(estimates, M: int, seed: int = 0,
+def sample_proportion_sets(P, V, M: int, seed: int = 0, sample_ids=None,
                            cell_types=None) -> ProportionDrawSet:
-    """M proportion-set draws from N(estimate, covariance), projected back to
-    the simplex (clip at zero, renormalize).
+    """M proportion-set draws from N(P[i], V[i]) for each sample i of P (n, K)
+    and V (n, K, K), projected back to the simplex (clip at zero, renormalize).
 
-    The covariance is the stored per-sample sampling covariance; drawing self
-    consistently from it is what lets downstream aggregation see the
-    estimation uncertainty."""
+    V is the sampling covariance a fit stores (the /p scale); drawing from it
+    is what lets downstream aggregation see the estimation uncertainty. Ids
+    default to "0".."n-1", cell types to "0".."K-1"."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not estimates:
-        raise DimensionMismatch("need at least one estimate")
+    P = np.asarray(P, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if P.ndim != 2 or not len(P) or V.shape != P.shape + P.shape[1:]:
+        raise DimensionMismatch(
+            f"need proportions (n, K) with n >= 1 and covariances (n, K, K), "
+            f"got {P.shape} and {V.shape}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    raw = _raw_draws(estimates, M, rng)
+    raw = _raw_draws(P, V, M, rng)
+    if sample_ids is None:
+        sample_ids = [str(i) for i in range(len(P))]
     if cell_types is None:
-        cell_types = [str(k) for k in range(raw.shape[2])]
-    return ProportionDrawSet(project_draws(raw),
-                             [e.sample_id for e in estimates],
+        cell_types = [str(k) for k in range(P.shape[1])]
+    return ProportionDrawSet(project_draws(raw), list(sample_ids),
                              list(cell_types), seed)
 
 

@@ -29,10 +29,8 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 from . import qp
-from .covest import (CtsCovarianceSet, DecalsResult, cts_covariance_raw_all,
-                     subject_covariance)
-from .deconv import (estimate_proportions, _package_estimates, _sample_ids,
-                     _values)
+from .covest import DecalsResult, cts_covariance_raw_all, subject_covariance
+from .deconv import estimate_proportions, _values
 from .errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
                      SingularDesign, SingularSigma)
 
@@ -206,7 +204,5 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
         run_warnings.append(msg)
         warnings.warn(msg, NonConvergenceWarning)
 
-    estimates = _package_estimates(est, V / p, _sample_ids(Y, n))
-    cell_types = list(getattr(W, "cell_types", [str(k) for k in range(K)]))
-    return DecalsResult(estimates, CtsCovarianceSet(Sk, cell_types),
-                        iterations, converged, None, run_warnings)
+    return DecalsResult(est, V / p, Sk, iterations, converged, None,
+                        run_warnings)

@@ -23,7 +23,7 @@ from io import StringIO
 
 import numpy as np
 
-from .deconv import BulkMatrix, ProportionEstimate, SignatureMatrix
+from .deconv import BulkMatrix, SignatureMatrix
 from .errors import ParseError
 
 JSON_FMT = ".16e"        # 17 significant digits
@@ -128,19 +128,27 @@ def _write_numeric_csv(path: str, header, labels, values) -> str:
     return text
 
 
-def _read_table(path: str, delimiter: str):
+def _records(path: str, delimiter: str):
+    """The file's CSV records, read one at a time."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return list(csv.reader(fh, delimiter=delimiter))
+            yield from csv.reader(fh, delimiter=delimiter)
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
 
 
-def _parse_matrix_tsv(path: str, min_cols: int):
-    rows = _read_table(path, "\t")
-    if not rows or not rows[0]:
+def _parse_matrix_tsv(path: str, min_cols: int, delimiter: str = "\t",
+                      id_header: str | None = None):
+    """(row ids, column names, values) of a table with a header row (led by
+    `id_header` when given), an id column and numeric cells. Each row becomes
+    a float array as it is read, so no string copy of the file is held."""
+    rows = _records(path, delimiter)
+    header = next(rows, [])
+    if id_header is not None and header[:1] != [id_header]:
+        raise ParseError(f"{path}: line 1: expected header starting "
+                         f"{id_header!r}")
+    if not header:
         raise ParseError(f"{path}: line 1: missing header row")
-    header = rows[0]
     names = header[1:]
     if len(names) < min_cols:
         raise ParseError(
@@ -149,7 +157,7 @@ def _parse_matrix_tsv(path: str, min_cols: int):
     if any(not c.strip() for c in header):
         raise ParseError(f"{path}: line 1: empty header field")
     ids, values = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(header):
@@ -157,7 +165,7 @@ def _parse_matrix_tsv(path: str, min_cols: int):
                              f"{len(header)} fields, found {len(row)}")
         ids.append(row[0])
         try:
-            values.append(list(map(float, row[1:])))
+            values.append(np.fromiter(map(float, row[1:]), float, len(names)))
         except ValueError:      # find the cell only now that one failed
             for colno, cell in enumerate(row[1:], start=2):
                 try:
@@ -168,7 +176,7 @@ def _parse_matrix_tsv(path: str, min_cols: int):
                         f"not a number: {cell!r}") from None
     if not ids:
         raise ParseError(f"{path}: no data rows")
-    return ids, names, np.array(values, dtype=float)
+    return ids, names, np.stack(values)
 
 
 def read_signature_tsv(path: str) -> SignatureMatrix:
@@ -189,23 +197,8 @@ def write_proportions_csv(path: str, sample_ids, cell_types, P) -> None:
 
 
 def read_proportions_csv(path: str):
-    rows = _read_table(path, ",")
-    if not rows or rows[0][:1] != ["sample_id"]:
-        raise ParseError(f"{path}: line 1: expected header starting 'sample_id'")
-    cell_types = rows[0][1:]
-    ids, values = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}: line {lineno}: expected "
-                             f"{len(rows[0])} fields, found {len(row)}")
-        ids.append(row[0])
-        try:
-            values.append([float(c) for c in row[1:]])
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-numeric value")
-    return ids, cell_types, np.array(values, dtype=float)
+    """CSV written by write_proportions_csv: (sample ids, cell types, P)."""
+    return _parse_matrix_tsv(path, 1, ",", id_header="sample_id")
 
 
 def write_covariances_json(path: str, sample_ids, cell_types, covs) -> None:
@@ -240,7 +233,8 @@ def read_covariances_json(path: str):
 
 
 def load_estimates(result_dir: str):
-    """Rebuild per-sample estimates from a deconvolution output directory.
+    """(sample ids, cell types, P (n, K), V (n, K, K)) of a deconvolution
+    output directory, V at the /p scale the covariance file stores.
 
     The directory must hold run_meta.json, which deconvolve writes last, so a
     run that stopped while writing its results is refused."""
@@ -254,9 +248,7 @@ def load_estimates(result_dir: str):
     cids, ctypes2, covs = read_covariances_json(cp)
     if ids != cids or list(cell_types) != list(ctypes2):
         raise ParseError(f"{pp} and {cp} disagree on samples or cell types")
-    ests = [ProportionEstimate(P[i], covs[i], sample_id=ids[i])
-            for i in range(len(ids))]
-    return ests, cell_types
+    return ids, cell_types, P, covs
 
 
 def write_intervals_csv(path: str, sample_ids, cell_types, est, lo, hi) -> None:
@@ -314,7 +306,7 @@ def _pvalue_error(path: str) -> ParseError:
     """The first error in a p-value file, found by rereading it record by
     record: the header; each record's field count, numbers and range in file
     order; then each hypothesis's draw indices in order of first appearance."""
-    rows = _read_table(path, ",")
+    rows = list(_records(path, ","))
     if rows[0] != PVALUE_HEADER:
         return ParseError(f"{path}: line 1: expected header "
                           f"{','.join(PVALUE_HEADER)}")

@@ -1,5 +1,5 @@
-"""Quadratic-programming kernel: simplex- and equality-constrained least squares
-plus a Frobenius-nearest PSD projection, and check_pd, the relative-eigenvalue
+"""Quadratic-programming kernel: simplex-constrained least squares plus a
+Frobenius-nearest PSD projection, and check_pd, the relative-eigenvalue
 singularity check every module applies with its own floor and exception.
 
 The simplex solver is a dual active-set method (Goldfarb-Idnani): start at the
@@ -62,23 +62,6 @@ def _gram(W):
     return G
 
 
-def solve_equality_ls(W, y) -> np.ndarray:
-    """Minimize ||y - W pi||^2 subject only to sum(pi) = 1.
-
-    Closed form: shift the unconstrained solution along G^{-1} 1 until the
-    constraint holds. Entries may be negative.
-    """
-    W, y = _as_problem(W, y)
-    G = _gram(W)
-    c = cho_factor(G)
-    pit = cho_solve(c, W.T @ y)
-    g1 = cho_solve(c, np.ones(len(pit)))
-    pi = pit - g1 * ((pit.sum() - 1.0) / g1.sum())
-    # guard against rounding in the shift itself
-    pi[-1] += 1.0 - pi.sum()
-    return pi
-
-
 def solve_simplex_ls(W, y, *, names=None) -> np.ndarray:
     """Minimize ||y - W pi||^2 over the probability simplex.
 
@@ -130,10 +113,11 @@ def solve_simplex_normal(G, a) -> np.ndarray:
 
 
 def _gi_simplex(c, a) -> np.ndarray:
-    """Active-set solve against c, a cho_factor of the positive definite G."""
+    """Active-set solve for a finite `a` against c, a cho_factor of the
+    positive definite G; the solves skip scipy's finiteness checks."""
     K = len(a)
 
-    pi = cho_solve(c, a)                     # unconstrained start
+    pi = cho_solve(c, a, check_finite=False)     # unconstrained start
     ones = np.ones(K)
 
     # active constraint normals; index 0 is the equality, k>=1 pins pi[k-1] at 0
@@ -148,10 +132,10 @@ def _gi_simplex(c, a) -> np.ndarray:
         return e
 
     def step_dirs(nplus, N):
-        z0 = cho_solve(c, nplus)
+        z0 = cho_solve(c, nplus, check_finite=False)
         if N.shape[1] == 0:
             return z0, np.zeros(0)
-        GiN = cho_solve(c, N)
+        GiN = cho_solve(c, N, check_finite=False)
         r = np.linalg.solve(N.T @ GiN, N.T @ z0)
         return z0 - GiN @ r, r
 
@@ -205,27 +189,6 @@ def _gi_simplex(c, a) -> np.ndarray:
     pi = np.where(pi < 0.0, np.where(pi >= -_CLAMP, 0.0, pi), pi)
     pi = np.maximum(pi, 0.0)                 # residual dust after the loop exit test
     return pi / pi.sum()
-
-
-def kkt_residual(W, y, pi) -> float:
-    """Max KKT violation of pi for the simplex problem; small means optimal.
-
-    Checks stationarity (gradient equal across strictly positive coordinates,
-    no smaller on zero coordinates), primal feasibility, and nonnegativity.
-    """
-    W = np.asarray(W, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    g = W.T @ (W @ pi - y)
-    free = pi > 1e-10
-    mu = g[free].mean() if free.any() else g.min()
-    res = abs(pi.sum() - 1.0)
-    res = max(res, float(-pi.min()) if pi.min() < 0 else 0.0)
-    if free.any():
-        res = max(res, float(np.abs(g[free] - mu).max()))
-    if (~free).any():
-        res = max(res, float(max(0.0, (mu - g[~free]).max())))
-    return res
 
 
 def nearest_psd(S) -> np.ndarray:

@@ -259,8 +259,7 @@ def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
         else:
             opts.setdefault("correct", method == "decals")
             res = run_decals(Wobs, Y, **opts)
-        est = np.stack([e.proportions for e in res.estimates])
-        V = np.stack([e.covariance for e in res.estimates])
+        est, V = res.proportions, res.covariances
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return est, np.einsum('nkk->nk', V)
@@ -285,6 +284,16 @@ def _replicate_worker(args):
         return r, None, f"replicate {r}: {type(err).__name__}: {err}"
 
 
+def resolve_workers(workers: int | None) -> int:
+    """workers, else $DECALS_WORKERS, else 1."""
+    if workers is not None:
+        return workers
+    env = os.environ.get("DECALS_WORKERS", "1")
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"DECALS_WORKERS must be an integer >= 1, got {env!r}")
+    return int(env)
+
+
 def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
                         workers: int | None = None,
                         method_options: dict | None = None,
@@ -300,8 +309,7 @@ def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     reps = (list(range(config.replicates)) if replicate_subset is None
             else list(replicate_subset))
-    if workers is None:
-        workers = int(os.environ.get("DECALS_WORKERS", "1"))
+    workers = resolve_workers(workers)
     jobs = [(config, method, r, level, method_options) for r in reps]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -350,12 +358,6 @@ class VErrorTable:
     entries: list                            # [(l, l'), ...] upper triangle
     rows: list = field(default_factory=list)
 
-    def lookup(self, p, signature_sd, method) -> VErrorRow:
-        for row in self.rows:
-            if (row.p, row.signature_sd, row.method) == (p, signature_sd, method):
-                return row
-        raise KeyError((p, signature_sd, method))
-
     def to_dict(self):
         return {
             "entries": [list(e) for e in self.entries],
@@ -372,8 +374,7 @@ def _replicate_v_errors(config: SimConfig, methods, r: int, entries):
     out = {}
     for method in methods:
         if method == "decals":
-            res = run_decals(Wobs, Y)
-            Vh = np.stack([e.covariance for e in res.estimates])
+            Vh = run_decals(Wobs, Y).covariances
         elif method == "ols":
             Vh = _iid_baseline(Wobs, Y)[1]
         else:

@@ -2,9 +2,15 @@
 
 The two simplex-LS oracles here are deliberately independent of the package
 solver: a projected-gradient iteration and an exhaustive support enumeration.
+Next to them sit a KKT certificate and the closed-form equality-constrained
+fit, which the interior-optimum checks compare against.
 """
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from decals.deconv import sandwich
+from decals.qp import _as_problem, _gram
 
 # pass/fail lines appended by the acceptance tests, printed at session end
 ACCEPTANCE_LINES = []
@@ -44,6 +50,50 @@ def pg_simplex_ls(W: np.ndarray, y: np.ndarray, max_iter: int = 200_000,
             return xn
         x = xn
     return x
+
+
+def one_sandwich(W, Sigma) -> np.ndarray:
+    """Sandwich covariance of sqrt(p) * (estimate - truth) for one sample
+    with subject covariance Sigma (p, p): `sandwich` on a stack of one."""
+    return sandwich(W, np.asarray(Sigma, dtype=float)[None], np.ones((1, 1)))[0]
+
+
+def solve_equality_ls(W, y) -> np.ndarray:
+    """Minimize ||y - W pi||^2 subject only to sum(pi) = 1.
+
+    Closed form: shift the unconstrained solution along G^{-1} 1 until the
+    constraint holds. Entries may be negative.
+    """
+    W, y = _as_problem(W, y)
+    G = _gram(W)
+    c = cho_factor(G)
+    pit = cho_solve(c, W.T @ y)
+    g1 = cho_solve(c, np.ones(len(pit)))
+    pi = pit - g1 * ((pit.sum() - 1.0) / g1.sum())
+    # guard against rounding in the shift itself
+    pi[-1] += 1.0 - pi.sum()
+    return pi
+
+
+def kkt_residual(W, y, pi) -> float:
+    """Max KKT violation of pi for the simplex problem; small means optimal.
+
+    Checks stationarity (gradient equal across strictly positive coordinates,
+    no smaller on zero coordinates), primal feasibility, and nonnegativity.
+    """
+    W = np.asarray(W, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    g = W.T @ (W @ pi - y)
+    free = pi > 1e-10
+    mu = g[free].mean() if free.any() else g.min()
+    res = abs(pi.sum() - 1.0)
+    res = max(res, float(-pi.min()) if pi.min() < 0 else 0.0)
+    if free.any():
+        res = max(res, float(np.abs(g[free] - mu).max()))
+    if (~free).any():
+        res = max(res, float(max(0.0, (mu - g[~free]).max())))
+    return res
 
 
 def enum_simplex_ls(W: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import ACCEPTANCE_LINES, pg_simplex_ls
+from conftest import ACCEPTANCE_LINES, pg_simplex_ls, solve_equality_ls
 
-from decals.covest import bias_terms, run_decals, scad_threshold
-from decals.deconv import ProportionEstimate
+from decals.covest import _bias_arrays, run_decals, scad_threshold
 from decals.downstream import aggregate_calls, call_cutoff
-from decals.qp import solve_equality_ls, solve_simplex_ls
+from decals.qp import solve_simplex_ls
 from decals.simgen import (
     SimConfig,
     coverage_experiment,
@@ -137,9 +136,7 @@ def test_criterion_07_bias_terms_match_simulation():
     for i in range(n):
         A = rng.normal(0.0, 1.0, (K, K))
         Vs[i] = P1 @ (A @ A.T) @ P1
-    ests = [ProportionEstimate(pi[i], Vs[i] / p, sample_id=str(i))
-            for i in range(n)]
-    bt = bias_terms(ests, p)
+    B1, B2 = _bias_arrays(pi, Vs, p)
 
     roots = []
     for i in range(n):
@@ -165,10 +162,10 @@ def test_criterion_07_bias_terms_match_simulation():
         S2 += (d ** 2).sum(axis=0)
     mean1 = S / M
     se1 = np.sqrt((S2 / M - mean1 ** 2) / M)
-    z1 = float((np.abs(mean1 - bt.B1) / se1).max())
+    z1 = float((np.abs(mean1 - B1) / se1).max())
     mean2 = B2mc / M
     se2 = np.sqrt((B2sq / M - mean2 ** 2) / M)
-    z2 = float((np.abs(mean2 - bt.B2) / se2).max())
+    z2 = float((np.abs(mean2 - B2) / se2).max())
     secs = time.perf_counter() - t0
     ok = bool(z1 <= 3.0 and z2 <= 3.0 and secs <= 60.0)
     _record(7, "bias terms match simulation", ok,
@@ -213,20 +210,16 @@ def test_criterion_09_structural_invariants():
     res2 = run_decals(Wobs, Y)
     sum_dev = sym_dev = eig_min = 0.0
     simplex_ok = True
-    for e in res1.estimates:
-        V = e.covariance
+    for V, pi in zip(res1.covariances, res1.proportions):
         sum_dev = max(sum_dev, float(np.abs(V.sum(axis=1)).max()))
         sym_dev = max(sym_dev, float(np.abs(V - V.T).max()))
         eig_min = min(eig_min, float(np.linalg.eigvalsh(V).min()))
-        pi = e.proportions
         simplex_ok &= bool(pi.min() >= -1e-12 and abs(pi.sum() - 1.0) < 1e-9)
     cts_min = min(float(np.linalg.eigvalsh(Mk).min())
-                  for Mk in res1.cts_covariances.matrices)
-    cts_scale = max(1.0, float(np.abs(res1.cts_covariances.matrices).max()))
-    det = max(float(np.abs(a.proportions - b.proportions).max())
-              for a, b in zip(res1.estimates, res2.estimates))
-    detv = max(float(np.abs(a.covariance - b.covariance).max())
-               for a, b in zip(res1.estimates, res2.estimates))
+                  for Mk in res1.cts_covariances)
+    cts_scale = max(1.0, float(np.abs(res1.cts_covariances).max()))
+    det = float(np.abs(res1.proportions - res2.proportions).max())
+    detv = float(np.abs(res1.covariances - res2.covariances).max())
     ok = bool(sum_dev <= 1e-6 and sym_dev <= 1e-10 and eig_min >= -1e-8
               and cts_min >= -1e-8 * cts_scale and simplex_ok
               and det == 0.0 and detv == 0.0)

@@ -101,6 +101,8 @@ def test_deconvolve_interval_levels(noiseless_data, tmp_path):
     (["--scad-lambda", "0.1", "-0.2", "0.3"], "lambdas must be"),
     (["--level", "1.5"], "--level must be in (0, 1)"),
     (["--seed", "-1"], "--seed must be >= 0"),
+    (["--tol", "nan"], "--tol must be > 0, got nan"),
+    (["--tol", "-1"], "--tol must be > 0, got -1.0"),
 ])
 def test_deconvolve_rejects_bad_options_before_writing(
         noiseless_data, tmp_path, capsys, extra, cause):
@@ -181,27 +183,53 @@ def test_sample_rejects_negative_seed(noiseless_data, tmp_path, capsys):
     assert not draws_dir.exists()
 
 
-@pytest.mark.parametrize("argv, flag, value", [
+@pytest.mark.parametrize("argv, message", [
     (["deconvolve", "--signature", "{missing}", "--bulk", "{missing}",
-      "--max-iter", "0", "--out", "{out}"], "--max-iter", 0),
+      "--max-iter", "0", "--out", "{out}"], "--max-iter must be >= 1, got 0"),
     (["sample", "--results", "{missing}", "--draws", "0", "--out", "{out}"],
-     "--draws", 0),
+     "--draws must be >= 1, got 0"),
     (["sample", "--results", "{missing}", "--draws", "-3", "--out", "{out}"],
-     "--draws", -3),
+     "--draws must be >= 1, got -3"),
     (["aggregate", "--pvalues", "{missing}", "--draws", "0",
-      "--out", "{out}"], "--draws", 0),
+      "--out", "{out}"], "--draws must be >= 1, got 0"),
     (["simulate", "--preset", "fig2", "--replicates", "1",
-      "--gls-max-iter", "0", "--out", "{out}"], "--gls-max-iter", 0),
+      "--gls-max-iter", "0", "--out", "{out}"],
+     "--gls-max-iter must be >= 1, got 0"),
+    (["simulate", "--preset", "fig2", "--replicates", "0", "--out", "{out}"],
+     "--replicates must be >= 1, got 0"),
+    (["simulate", "--preset", "fig2", "--replicates", "1", "--workers", "0",
+      "--out", "{out}"], "--workers must be >= 1, got 0"),
+    (["aggregate", "--pvalues", "{missing}", "--alpha", "5",
+      "--out", "{out}"], "--alpha must be in (0, 1), got 5.0"),
 ], ids=["deconvolve-max-iter", "sample-draws-0", "sample-draws-negative",
-        "aggregate-draws", "simulate-gls-max-iter"])
+        "aggregate-draws", "simulate-gls-max-iter", "simulate-replicates",
+        "simulate-workers", "aggregate-alpha"])
 def test_count_options_rejected_before_reading_or_writing(
-        tmp_path, capsys, argv, flag, value):
+        tmp_path, capsys, argv, message):
     # the inputs do not exist: reading any of them would be a file error
     out = tmp_path / "out"
     argv = [a.format(missing=tmp_path / "missing", out=out) for a in argv]
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err == f"error: {flag} must be >= 1, got {value}\n"
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_decals_workers_stops_only_simulate(tmp_path, capsys,
+                                                      monkeypatch, value):
+    monkeypatch.setenv("DECALS_WORKERS", value)
+    pv = tmp_path / "pv.csv"
+    pv.write_text("")
+    assert main(["aggregate", "--pvalues", str(pv),
+                 "--out", str(tmp_path / "calls.csv")]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "sim"
+    assert main(["simulate", "--preset", "fig4", "--replicates", "1",
+                 "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == ("error: DECALS_WORKERS must be an integer >= 1, "
+                   f"got {value!r}\n")
     assert not out.exists()
 
 
@@ -348,3 +376,15 @@ def test_version_and_usage():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_public_names_resolve_and_removed_names_are_gone():
+    import decals
+    for name in decals.__all__:
+        assert getattr(decals, name, None) is not None, name
+    removed = {"ProportionEstimate", "confidence_intervals",
+               "theorem1_covariance", "bias_terms", "BiasTerms",
+               "CtsCovarianceSet", "cts_covariance_raw", "kkt_residual",
+               "solve_equality_ls"}
+    assert not removed & set(decals.__all__)
+    assert not [n for n in removed if hasattr(decals, n)]

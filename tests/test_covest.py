@@ -13,11 +13,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from decals import covest
-from decals.covest import (BiasTerms, bias_terms, cross_validate_lambda,
-                           cts_covariance_corrected, cts_covariance_raw,
-                           cts_covariance_raw_all, residuals, run_decals,
-                           scad_threshold, subject_covariance)
-from decals.deconv import ProportionEstimate, estimate_proportions
+from decals.covest import (_bias_arrays, cross_validate_lambda,
+                           cts_covariance_corrected, cts_covariance_raw_all,
+                           residuals, run_decals, scad_threshold,
+                           subject_covariance)
+from decals.deconv import estimate_proportions
 from decals.errors import (DimensionMismatch, InsufficientSamples,
                            NonConvergenceWarning, SingularCorrectedMoment,
                            SingularMomentMatrix)
@@ -79,9 +79,6 @@ def test_raw_estimator_lstsq_oracle():
             for k in range(K):
                 ref = 0.5 * (b[k] + (M @ (Z[jp] * Z[j]))[k])
                 assert_allclose(S[k, j, jp], ref, atol=1e-12)
-    # single-pair entry agrees with the full stack
-    assert_allclose(cts_covariance_raw(H, Z, (2, 4)),
-                    S[:, 2, 4], atol=1e-13)
 
 
 def test_raw_estimator_recovers_truth_in_mean():
@@ -104,10 +101,10 @@ def test_raw_estimator_recovers_truth_in_mean():
 
 
 def test_bias_terms_hand_oracle():
-    est = ProportionEstimate(np.array([0.6, 0.4]), np.eye(2) / 10.0)
-    B = bias_terms([est], p=10)
-    assert_allclose(B.B1, [[0.246, 0.062], [0.062, 0.126]], atol=1e-12)
-    assert_allclose(B.B2, [[0.1, 0.1]], atol=1e-14)
+    # covariance V = I at the sqrt(p) scale, I/10 for the estimate at p = 10
+    B1, B2 = _bias_arrays(np.array([[0.6, 0.4]]), np.eye(2)[None], p=10)
+    assert_allclose(B1, [[0.246, 0.062], [0.062, 0.126]], atol=1e-12)
+    assert_allclose(B2, [[0.1, 0.1]], atol=1e-14)
 
 
 def test_corrected_equals_raw_at_zero_bias():
@@ -115,8 +112,8 @@ def test_corrected_equals_raw_at_zero_bias():
     p, K, n = 8, 3, 25
     H = rng.dirichlet([1, 1, 1], n) ** 2
     Z = rng.normal(0, 1, (p, n))
-    zero = BiasTerms(np.zeros((K, K)), np.zeros((n, K)))
-    assert_allclose(cts_covariance_corrected(H, Z, zero),
+    assert_allclose(cts_covariance_corrected(H, Z, np.zeros((K, K)),
+                                             np.zeros((n, K))),
                     cts_covariance_raw_all(H, Z), atol=1e-13)
 
 
@@ -125,9 +122,8 @@ def test_corrected_moment_singular_raises():
     p, K, n = 6, 2, 20
     H = rng.dirichlet([2, 1], n) ** 2
     Z = rng.normal(0, 1, (p, n))
-    big = BiasTerms(H.T @ H, np.zeros((n, K)))   # kills the moment matrix
-    with pytest.raises(SingularCorrectedMoment):
-        cts_covariance_corrected(H, Z, big)
+    with pytest.raises(SingularCorrectedMoment):   # B1 = H'H kills the moment
+        cts_covariance_corrected(H, Z, H.T @ H, np.zeros((n, K)))
 
 
 def test_moment_matrix_singular_raises():
@@ -286,25 +282,32 @@ def test_run_decals_contracts():
         warnings.simplefilter("ignore")
         res = run_decals(W, Y, tol=np.inf)
     assert res.iterations == 1 and res.converged
-    assert len(res.estimates) == 30
-    assert res.cts_covariances.matrices.shape == (3, 40, 40)
+    assert res.proportions.shape == (30, 3)
+    assert res.covariances.shape == (30, 3, 3)
+    assert res.cts_covariances.shape == (3, 40, 40)
     assert res.lambdas.shape == (3,)
-    for e in res.estimates:
-        assert e.proportions.min() >= 0
-        assert abs(e.proportions.sum() - 1) < 1e-12
-        w = np.linalg.eigvalsh(e.covariance)
+    for pi, V in zip(res.proportions, res.covariances):
+        assert pi.min() >= 0
+        assert abs(pi.sum() - 1) < 1e-12
+        w = np.linalg.eigvalsh(V)
         assert w[0] >= -1e-10 * max(w[-1], 1e-30)
-        assert np.isfinite(e.covariance).all()
+        assert np.isfinite(V).all()
     # determinism
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res2 = run_decals(W, Y, tol=np.inf)
-    assert_allclose(res.estimates[0].covariance,
-                    res2.estimates[0].covariance, atol=0)
+    assert_allclose(res.covariances[0], res2.covariances[0], atol=0)
     with pytest.raises(ValueError):
         run_decals(W, Y, max_iter=0)
     with pytest.raises(InsufficientSamples):
         run_decals(W, Y[:, :2])
+
+
+def test_result_flags_samples_on_the_boundary():
+    P = np.array([[0.5, 0.5], [1.0, 0.0], [1 - 1e-7, 1e-7], [0.99, 0.01]])
+    res = covest.DecalsResult(P, np.zeros((4, 2, 2)), np.zeros((2, 3, 3)),
+                              1, True)
+    assert res.on_boundary.tolist() == [False, True, True, False]
 
 
 def test_run_decals_small_n_needs_fixed_lambdas():
@@ -342,8 +345,7 @@ def test_run_decals_sticky_fallback_records_warning():
             res = run_decals(W, Y)
         if any("bias correction disabled" in w for w in res.warnings):
             tripped += 1
-            for e in res.estimates:
-                assert np.isfinite(e.covariance).all()
+            assert np.isfinite(res.covariances).all()
     assert tripped >= 1
 
 
@@ -377,6 +379,6 @@ def test_run_decals_uncorrected_and_dense_paths():
         res_d = run_decals(W, Y, sparse=False, correct=False)
         res_s = run_decals(W, Y, correct=False)
     assert res_d.lambdas is None
-    Vd = max(np.abs(e.covariance).max() for e in res_d.estimates)
-    Vs = max(np.abs(e.covariance).max() for e in res_s.estimates)
+    Vd = np.abs(res_d.covariances).max()
+    Vs = np.abs(res_s.covariances).max()
     assert Vs > Vd

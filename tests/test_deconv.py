@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import one_sandwich
 from decals import deconv, gls
 from decals.covest import subject_covariance
-from decals.deconv import (BulkMatrix, ProportionEstimate, SignatureMatrix,
-                           align_genes, confidence_intervals,
-                           estimate_proportions, sandwich,
-                           theorem1_covariance, wald_intervals)
+from decals.deconv import (BulkMatrix, SignatureMatrix, align_genes,
+                           estimate_proportions, sandwich, wald_intervals)
 from decals.errors import GeneMismatch, NonFinite
 
 
@@ -43,7 +42,7 @@ def test_covariance_structure():
     rng = np.random.default_rng(2)
     W = _sig(rng, 30, 4)
     B = rng.normal(0, 1, (30, 30))
-    V = theorem1_covariance(W, B @ B.T)
+    V = one_sandwich(W, B @ B.T)
     assert_allclose(V, V.T, atol=1e-12)
     assert_allclose(V @ np.ones(4), 0.0, atol=1e-10)     # sum-to-one null
     w = np.linalg.eigvalsh(V)
@@ -57,7 +56,7 @@ def test_orthonormal_design_closed_form():
     p, K, s2 = 64, 4, 2.5
     Q, _ = np.linalg.qr(rng.normal(0, 1, (p, K)))
     W = np.sqrt(p) * Q
-    V = theorem1_covariance(W, s2 * np.eye(p))
+    V = one_sandwich(W, s2 * np.eye(p))
     assert_allclose(V, s2 * (np.eye(K) - np.ones((K, K)) / K), atol=1e-10)
 
 
@@ -67,8 +66,8 @@ def test_joint_scale_invariance():
     W = _sig(rng, 25, 3)
     B = rng.normal(0, 1, (25, 25))
     S = B @ B.T
-    V1 = theorem1_covariance(W, S)
-    V2 = theorem1_covariance(3.7 * W, 3.7 ** 2 * S)
+    V1 = one_sandwich(W, S)
+    V2 = one_sandwich(3.7 * W, 3.7 ** 2 * S)
     assert_allclose(V1, V2, rtol=1e-10)
 
 
@@ -82,8 +81,8 @@ def test_gene_permutation_invariance():
     x1 = estimate_proportions(W, y[:, None])[0]
     x2 = estimate_proportions(W[perm], y[perm][:, None])[0]
     assert_allclose(x1, x2, atol=1e-10)
-    assert_allclose(theorem1_covariance(W, S),
-                    theorem1_covariance(W[perm], S[np.ix_(perm, perm)]),
+    assert_allclose(one_sandwich(W, S),
+                    one_sandwich(W[perm], S[np.ix_(perm, perm)]),
                     rtol=1e-9)
 
 
@@ -97,7 +96,7 @@ def test_sandwich_matches_empirical_covariance():
     # noise small enough that the simplex boundary is essentially never hit
     A = rng.normal(0, 0.05, (p, p))
     Sigma = A @ A.T + 0.25 * np.eye(p)
-    V = theorem1_covariance(W, Sigma) / p
+    V = one_sandwich(W, Sigma) / p
     L = np.linalg.cholesky(Sigma)
     ests = np.empty((n_mc, K))
     for m in range(n_mc):
@@ -114,13 +113,12 @@ def test_sandwich_matches_empirical_covariance():
 
 
 def test_confidence_interval_values():
-    est = ProportionEstimate(np.array([0.5, 0.5]),
-                             np.diag([0.01, 1e4]))
-    ci = confidence_intervals(est, 0.95)
+    P, var = np.array([0.5, 0.5]), np.array([0.01, 1e4])
+    ci = np.column_stack(wald_intervals(P, var, 0.95))
     assert_allclose(ci[0], [0.304, 0.696], atol=5e-4)
     assert_allclose(ci[1], [0.0, 1.0], atol=0)       # truncated to [0, 1]
     with pytest.raises(ValueError):
-        confidence_intervals(est, 1.5)
+        wald_intervals(P, var, 1.5)
 
 
 def test_align_genes_reorders_and_drops():
@@ -158,15 +156,14 @@ def _batched_and_single(kernel, rng):
     P = rng.dirichlet([3, 2, 1], n)
     if kernel == "sandwich":
         return sandwich(W, S, P ** 2), [
-            theorem1_covariance(W, np.einsum('k,kab->ab', P[i] ** 2, S))
+            one_sandwich(W, np.einsum('k,kab->ab', P[i] ** 2, S))
             for i in range(n)]
     if kernel == "wald_intervals":
         V = np.abs(rng.normal(0, 0.05, (n, K)))
         V[0, 0] = -1e-3                      # negative variance reads as 0
         lo, hi = wald_intervals(P, V, 0.9)
         return np.stack([lo, hi], axis=-1), [
-            confidence_intervals(ProportionEstimate(P[i], np.diag(V[i])), 0.9)
-            for i in range(n)]
+            np.column_stack(wald_intervals(P[i], V[i], 0.9)) for i in range(n)]
     if kernel == "subject_covariance":
         return subject_covariance(P, S), [subject_covariance(P[i], S)
                                           for i in range(n)]

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from decals.deconv import ProportionEstimate
 from decals.downstream import (
     CallDecision,
     ProportionDrawSet,
@@ -24,10 +23,6 @@ from decals.downstream import (
 from decals.errors import DimensionMismatch
 
 
-def _estimate(pi, V, sid="s0"):
-    return ProportionEstimate(np.asarray(pi, float), np.asarray(V, float), sid)
-
-
 def _sum_zero_cov(K, scale, rng):
     # PSD with null vector 1, like the constrained estimator's covariance.
     A = rng.standard_normal((K, K)) * scale
@@ -37,9 +32,9 @@ def _sum_zero_cov(K, scale, rng):
 
 
 def test_zero_covariance_draws_equal_estimate():
-    est = [_estimate([0.5, 0.3, 0.2], np.zeros((3, 3)), "a"),
-           _estimate([0.1, 0.1, 0.8], np.zeros((3, 3)), "b")]
-    ds = sample_proportion_sets(est, M=7, seed=3)
+    P = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    ds = sample_proportion_sets(P, np.zeros((2, 3, 3)), M=7, seed=3,
+                                sample_ids=["a", "b"])
     assert ds.draws.shape == (7, 2, 3)
     for m in range(7):
         np.testing.assert_allclose(ds.draws[m, 0], [0.5, 0.3, 0.2], atol=0)
@@ -56,7 +51,7 @@ def test_draw_moments_match_covariance():
     V = _sum_zero_cov(K, 0.02, rng)
     pi = np.array([0.45, 0.35, 0.20])
     M = 40000
-    ds = sample_proportion_sets([_estimate(pi, V)], M=M, seed=5)
+    ds = sample_proportion_sets(pi[None], V[None], M=M, seed=5)
     X = ds.draws[:, 0, :]
     np.testing.assert_allclose(X.sum(axis=1), 1.0, atol=1e-12)
     assert X.min() > 0  # projection inactive on this fixture
@@ -72,8 +67,8 @@ def test_draws_respect_simplex():
     # and every draw must still be a valid probability vector.
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3, 3))
-    est = [_estimate([0.2, 0.5, 0.3], 0.5 * A @ A.T)]
-    ds = sample_proportion_sets(est, M=2000, seed=1)
+    ds = sample_proportion_sets([[0.2, 0.5, 0.3]], [0.5 * A @ A.T], M=2000,
+                                seed=1)
     assert (ds.draws >= 0).all()
     np.testing.assert_allclose(ds.draws.sum(axis=2), 1.0, atol=1e-12)
 
@@ -95,28 +90,32 @@ def test_project_draws_cases():
 
 def test_sampling_determinism_and_seed_sensitivity():
     rng = np.random.default_rng(2)
-    est = [_estimate([0.4, 0.6], _sum_zero_cov(2, 0.05, rng), "s")]
-    a = sample_proportion_sets(est, M=50, seed=9)
-    b = sample_proportion_sets(est, M=50, seed=9)
-    c = sample_proportion_sets(est, M=50, seed=10)
+    est = ([[0.4, 0.6]], [_sum_zero_cov(2, 0.05, rng)])
+    a = sample_proportion_sets(*est, M=50, seed=9)
+    b = sample_proportion_sets(*est, M=50, seed=9)
+    c = sample_proportion_sets(*est, M=50, seed=10)
     np.testing.assert_array_equal(a.draws, b.draws)
     assert np.abs(a.draws - c.draws).max() > 1e-4
 
 
 def test_cell_type_labels():
-    est = [_estimate([0.4, 0.6], np.zeros((2, 2)))]
-    ds = sample_proportion_sets(est, M=2, seed=0)
+    est = ([[0.4, 0.6]], np.zeros((1, 2, 2)))
+    ds = sample_proportion_sets(*est, M=2, seed=0)
     assert ds.cell_types == ["0", "1"]
-    ds2 = sample_proportion_sets(est, M=2, seed=0, cell_types=["neuron", "glia"])
+    assert ds.sample_ids == ["0"]
+    ds2 = sample_proportion_sets(*est, M=2, seed=0,
+                                 cell_types=["neuron", "glia"])
     assert ds2.cell_types == ["neuron", "glia"]
 
 
 def test_sampling_input_validation():
-    est = [_estimate([0.4, 0.6], np.zeros((2, 2)))]
+    est = ([[0.4, 0.6]], np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="M"):
-        sample_proportion_sets(est, M=0)
+        sample_proportion_sets(*est, M=0)
     with pytest.raises(DimensionMismatch):
-        sample_proportion_sets([], M=5)
+        sample_proportion_sets(np.zeros((0, 2)), np.zeros((0, 2, 2)), M=5)
+    with pytest.raises(DimensionMismatch):
+        sample_proportion_sets(est[0], np.zeros((1, 3, 3)), M=5)
     with pytest.raises(DimensionMismatch):
         ProportionDrawSet(np.zeros((3, 2)), ["a"], ["0", "1"], 0)
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import enum_simplex_ls
+from conftest import enum_simplex_ls, one_sandwich
 from decals import gls, qp
-from decals.deconv import estimate_proportions, theorem1_covariance
+from decals.deconv import estimate_proportions
 from decals.errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
                            SingularSigma)
 from decals.gls import gls_covariance, run_gls_iterative, solve_gls
@@ -56,7 +56,7 @@ def test_gls_covariance_iid_matches_sandwich():
     W, _ = _design(rng, p=40)
     s2 = 2.3
     assert_allclose(gls_covariance(W, s2 * np.eye(40)),
-                    theorem1_covariance(W, s2 * np.eye(40)), atol=1e-8)
+                    one_sandwich(W, s2 * np.eye(40)), atol=1e-8)
 
 
 def test_gls_covariance_structure_and_efficiency():
@@ -64,7 +64,7 @@ def test_gls_covariance_structure_and_efficiency():
     W, _ = _design(rng, p=35)
     S = _rand_cov(rng, 35)
     Vg = gls_covariance(W, S)
-    Vo = theorem1_covariance(W, S)
+    Vo = one_sandwich(W, S)
     assert_allclose(Vg, Vg.T, atol=1e-10)
     assert_allclose(Vg @ np.ones(3), 0.0, atol=1e-8)
     # Gauss-Markov: GLS at most the sandwich on the constraint plane
@@ -117,8 +117,7 @@ def test_one_pass_equals_constrained_ls():
     W, P, Y = _sim(rng)
     res = run_gls_iterative(W, Y, max_iter=1)
     ref = estimate_proportions(W, Y)
-    for e, r in zip(res.estimates, ref):
-        assert_allclose(e.proportions, r, atol=1e-10)
+    assert_allclose(res.proportions, ref, atol=1e-10)
     assert res.iterations == 1
     assert res.lambdas is None
 
@@ -130,10 +129,9 @@ def test_iteration_warns_without_convergence():
         res = run_gls_iterative(W, Y, max_iter=2, tol=1e-12)
     assert res.iterations == 2
     assert not res.converged
-    for e in res.estimates:
-        assert e.proportions.min() >= 0
-        assert abs(e.proportions.sum() - 1) < 1e-10
-        assert np.isfinite(e.covariance).all()
+    assert res.proportions.min() >= 0
+    assert np.abs(res.proportions.sum(axis=1) - 1).max() < 1e-10
+    assert np.isfinite(res.covariances).all()
 
 
 def test_iteration_determinism():
@@ -143,10 +141,8 @@ def test_iteration_determinism():
         warnings.simplefilter("ignore")
         r1 = run_gls_iterative(W, Y, max_iter=2, tol=1e-12)
         r2 = run_gls_iterative(W, Y, max_iter=2, tol=1e-12)
-    assert_allclose(r1.estimates[3].proportions,
-                    r2.estimates[3].proportions, atol=0)
-    assert_allclose(r1.estimates[3].covariance,
-                    r2.estimates[3].covariance, atol=0)
+    assert_allclose(r1.proportions[3], r2.proportions[3], atol=0)
+    assert_allclose(r1.covariances[3], r2.covariances[3], atol=0)
 
 
 def test_oracle_weighting_recovers_truth_better_than_identity():

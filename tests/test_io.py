@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from decals.deconv import ProportionEstimate
 from decals.downstream import CallDecision, ProportionDrawSet
 from decals.errors import ParseError
 from decals.io import (
@@ -168,12 +167,11 @@ def test_load_estimates_round_trip_and_mismatch(tmp_path):
     write_covariances_json(str(tmp_path / "covariances.json"),
                            ["s1", "s2"], ["A", "B"], V)
     (tmp_path / "run_meta.json").write_text("{}\n")
-    ests, cts = load_estimates(str(tmp_path))
+    ids, cts, P_back, V_back = load_estimates(str(tmp_path))
     assert cts == ["A", "B"]
-    assert [e.sample_id for e in ests] == ["s1", "s2"]
-    np.testing.assert_allclose(ests[1].proportions, [0.2, 0.8], rtol=1e-14)
-    np.testing.assert_allclose(ests[0].covariance, V[0], rtol=1e-14)
-    assert all(isinstance(e, ProportionEstimate) for e in ests)
+    assert ids == ["s1", "s2"]
+    np.testing.assert_allclose(P_back, P, rtol=1e-14)
+    np.testing.assert_allclose(V_back, V, rtol=1e-14)
 
     # covariance file listing different samples must be rejected
     write_covariances_json(str(tmp_path / "covariances.json"),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import enum_simplex_ls, pg_simplex_ls, random_instance
+from conftest import (enum_simplex_ls, kkt_residual, pg_simplex_ls,
+                      random_instance, solve_equality_ls)
 from decals import qp
 from decals.errors import (DimensionMismatch, MaxIterations, NonFinite,
                            SingularDesign)
@@ -58,7 +59,7 @@ def test_kkt_certificate():
     for _ in range(100):
         W, y = random_instance(rng)
         x = qp.solve_simplex_ls(W, y)
-        assert qp.kkt_residual(W, y, x) <= 1e-8
+        assert kkt_residual(W, y, x) <= 1e-8
 
 
 def test_interior_matches_equality_solver():
@@ -70,7 +71,7 @@ def test_interior_matches_equality_solver():
         y = W @ pi + 0.01 * rng.normal(0, 1, 30)
         x = qp.solve_simplex_ls(W, y)
         if x.min() > 1e-4:
-            assert_allclose(x, qp.solve_equality_ls(W, y), atol=1e-8)
+            assert_allclose(x, solve_equality_ls(W, y), atol=1e-8)
             hits += 1
     assert hits > 30                              # most optima are interior
 
@@ -204,7 +205,7 @@ def test_matrix_response_errors_name_the_column(monkeypatch):
     with pytest.raises(DimensionMismatch):
         qp.solve_simplex_ls(W, Y[:9])
     with pytest.raises(DimensionMismatch):
-        qp.solve_equality_ls(W, Y)           # one response only
+        solve_equality_ls(W, Y)           # one response only
     calls = []
 
     def capped(c, a):

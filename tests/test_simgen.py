@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from conftest import one_sandwich
 from decals import simgen
-from decals.deconv import SignatureMatrix, sandwich, theorem1_covariance
+from decals.deconv import SignatureMatrix, sandwich
 from decals.errors import (DimensionMismatch, DivisibilityError,
                            NonPositiveMean)
 from decals.simgen import (SimConfig, block_correlations, coverage_experiment,
@@ -171,7 +172,7 @@ def test_sandwich_matches_single_on_replicate():
     Vs = sandwich(W, Sig, P ** 2) / 30
     for i in range(6):
         Si = np.einsum('k,kab->ab', P[i] ** 2, Sig)
-        assert_allclose(Vs[i], theorem1_covariance(W, Si) / 30, atol=1e-12)
+        assert_allclose(Vs[i], one_sandwich(W, Si) / 30, atol=1e-12)
 
 
 def test_gamma_copula_generator_end_to_end():
@@ -236,10 +237,9 @@ def test_v_error_study_structure():
                           n=40, replicates=2, seed=3)
     assert table.entries == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     assert len(table.rows) == 2              # decals and ols
-    row = table.lookup(30, 1.0, "decals")
+    row = next(r for r in table.rows if r.method == "decals")
+    assert (row.p, row.signature_sd) == (30, 1.0)
     assert row.means.shape == (6,)
     assert (row.means > 0).all() and np.isfinite(row.ses).all()
-    with pytest.raises(KeyError):
-        table.lookup(31, 1.0, "decals")
     d = table.to_dict()
     assert len(d["rows"]) == 2
