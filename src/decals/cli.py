@@ -157,7 +157,8 @@ def cmd_simulate(args) -> int:
     if args.preset == "tableS1":
         sizes = _SCALES[args.scale]
         reps = args.replicates if args.replicates is not None else 10
-        table = v_error_study(n=sizes["n"], replicates=reps, seed=args.seed)
+        table = v_error_study(n=sizes["n"], replicates=reps, seed=args.seed,
+                              workers=workers)
         io.write_json(os.path.join(args.out, "verror.json"), table.to_dict())
         rows = [["p", "signature_sd", "method", "entry", "mean", "se"]]
         for r in table.rows:

@@ -6,9 +6,13 @@ the regressors, the moment matrix H'H and the regressor matrix H are biased;
 `_bias_arrays` computes the correction (B1, B2) implied by a Gaussian model for
 the estimation error. Correlation-scale SCAD thresholding with a cross-validated
 level sparsifies each Sigma^(k); a PSD projection restores validity. The
-cross-validation loss is exact for every grid level, computed for the whole
-grid in one pass, and streams the cell types so that it holds the p x p
-training and held-out moments of one type at a time.
+cross-validation loss is exact for every grid level and computed for the
+whole grid in one pass: the entries are binned against the grid's sorted
+breakpoints through a lookup table built once per call. Every fold's
+training and held-out moments are linear combinations of K basis moments
+over all samples and K over the fold's held-out samples, so the moments
+cost two passes over the data instead of one per fold; they are kept as
+upper triangles and combined one cell type at a time.
 
 run_decals alternates: covariance estimates -> subject covariances -> sandwich
 covariances V_i -> new bias terms, until V stabilizes. When the corrected
@@ -37,6 +41,8 @@ _DIAG_FLOOR = 1e-10
 _CORRECTED_EIG_FLOOR = 1e-8
 # SCAD shape parameter (Fan & Li 2001).
 _SCAD_A = 3.7
+# Cells of the lookup table that bins |r| against the SCAD breakpoints.
+_BIN_CELLS = 2 ** 16
 
 
 @dataclass
@@ -68,11 +74,10 @@ def residuals(W, Y, proportions) -> np.ndarray:
     return Yv - Wv @ P.T
 
 
-def _moment_weights(H_hat):
-    H = np.asarray(H_hat, dtype=float)
+def _moment_matrix(H):
     M = H.T @ H
     qp.check_pd(M, 1e-12, SingularMomentMatrix, "H'H numerically singular")
-    return H, np.linalg.solve(M, H.T)        # C: (K, n)
+    return M
 
 
 def _sym_moment(Z, c) -> np.ndarray:
@@ -83,8 +88,9 @@ def _sym_moment(Z, c) -> np.ndarray:
 
 def cts_covariance_raw_all(H_hat, Z) -> np.ndarray:
     """All gene pairs at once: (K, p, p) array reusing one factorization."""
-    H, C = _moment_weights(H_hat)
+    H = np.asarray(H_hat, dtype=float)
     Z = np.asarray(Z, dtype=float)
+    C = np.linalg.solve(_moment_matrix(H), H.T)          # (K, n)
     return np.stack([_sym_moment(Z, c) for c in C])
 
 
@@ -157,8 +163,45 @@ def _sparsify(S, lam):
     return qp.nearest_psd(T * np.outer(rd, rd))
 
 
-def _scad_grid_loss(r, s, h, grid) -> np.ndarray:
-    """sum((scad(r, lam) * s - h)**2) over 1-D entry arrays, for every level.
+class _GridBins:
+    """A SCAD grid's 3G breakpoints {lam, 2*lam, a*lam}, sorted, and a
+    lookup table that bins |r| in [0, 1] against them exactly as
+    np.searchsorted(sorted, |r|, side="left") does.
+
+    Cell c of the table covers [c/N, (c+1)/N), N = _BIN_CELLS (the last one
+    just 1.0), and holds the count of breakpoints below c/N, a lower bound on
+    the bin of every entry in the cell. `sweeps` rounds of the exact fix-up
+    b += |r| > sorted[b] close the gap; the gap is at most the number of
+    breakpoints inside the cell. Both scalings are by a power of two, so
+    cells and their edges are exact."""
+
+    def __init__(self, grid):
+        G = grid.size
+        self.grid = grid
+        breaks = np.concatenate([grid, 2.0 * grid, _SCAD_A * grid])
+        # stable: a level's three breakpoints keep their order even when equal
+        order = np.argsort(breaks, kind="stable")
+        self.rank = np.empty(3 * G, dtype=np.intp)
+        self.rank[order] = np.arange(3 * G)
+        sb = breaks[order]
+        # an infinite sentinel lets an entry above every breakpoint stop at 3G
+        self.sorted = np.append(sb, np.inf)
+        self.table = np.searchsorted(
+            sb, np.arange(_BIN_CELLS + 1) / _BIN_CELLS, side="left")
+        inside = (sb[sb < 1.0] * _BIN_CELLS).astype(np.intp)
+        self.sweeps = int(np.bincount(inside).max()) if inside.size else 0
+
+    def bin(self, A) -> np.ndarray:
+        """Per entry of A, the number of sorted breakpoints below it."""
+        b = self.table[(A * _BIN_CELLS).astype(np.intp)]
+        for _ in range(self.sweeps):
+            b += A > self.sorted[b]
+        return b
+
+
+def _scad_grid_loss(r, s, h, bins: _GridBins) -> np.ndarray:
+    """sum((scad(r, lam) * s - h)**2) over 1-D entry arrays, for every level
+    of bins.grid; the entries of r are correlations, in [-1, 1].
 
     For one entry with A = |r|, v = sign(r)*s and u = r*s the fit is
     piecewise linear in lam: 0 for A <= lam, u - v*lam up to 2*lam,
@@ -167,6 +210,7 @@ def _scad_grid_loss(r, s, h, grid) -> np.ndarray:
     Binning A against the sorted 3G breakpoints, which are the floats
     scad_threshold compares against, and prefix-summing the six coefficient
     sums per bin yields every level's loss in one pass."""
+    grid, rank = bins.grid, bins.rank
     G = grid.size
     A = np.abs(r)
     u = r * s
@@ -175,13 +219,8 @@ def _scad_grid_loss(r, s, h, grid) -> np.ndarray:
     c = (a - 1.0) / (a - 2.0)
     e = u - h                                  # error of the kept entry
     m = c * u - h
-    breaks = np.concatenate([grid, 2.0 * grid, a * grid])
-    # stable: a level's three breakpoints keep their order even when equal
-    order = np.argsort(breaks, kind="stable")
-    rank = np.empty(3 * G, dtype=np.intp)
-    rank[order] = np.arange(3 * G)
     # bin b holds the entries that exceed exactly b sorted breakpoints
-    b = np.searchsorted(breaks[order], A, side="left")
+    b = bins.bin(A)
     cum = np.cumsum([np.bincount(b, weights=w, minlength=3 * G + 1)
                      for w in (h * h, e * e, e * v, v * v, m * m, m * v)],
                     axis=1)
@@ -195,30 +234,51 @@ def _scad_grid_loss(r, s, h, grid) -> np.ndarray:
             + (cum[1, -1] - c2[1]))
 
 
+def _basis_moments(Z, H, up):
+    """Upper triangles (K, |up|) and diagonals (K, p) of the K basis moments
+    Z diag(H[:, l]) Z', built one p x p moment at a time."""
+    K = H.shape[1]
+    tri = np.empty((K, np.count_nonzero(up)))
+    diag = np.empty((K, Z.shape[0]))
+    for l in range(K):
+        S = _sym_moment(Z, H[:, l])
+        tri[l], diag[l] = S[up], np.diagonal(S)
+    return tri, diag
+
+
 def _cv_losses(Z, H, folds: int, grid, seed: int) -> np.ndarray:
     """(K, G) held-out Frobenius loss of each type's thresholded training
     estimate, summed over the folds.
 
-    Streams one type at a time: only that type's training and held-out
-    p x p moments are alive, and each is reduced to its upper triangle (the
-    loss is symmetric) plus a diagonal term that does not depend on lam."""
+    A fold's moment weights are C = M^{-1} H' over its samples, M = H'H, so
+    type k's training moment is sum_l M_tr^{-1}[k, l] (T_l - G_l) and its
+    held-out moment sum_l M_ho^{-1}[k, l] G_l. T_l = Z diag(h_l) Z' runs over
+    all samples and is formed once; G_l is the same moment over the fold's
+    held-out samples. Every moment is kept as its upper triangle (the loss
+    is symmetric) and diagonal, which enters through a term that does not
+    depend on lam, and the types are combined one at a time: only T and one
+    fold's G, each (K, p(p-1)/2), stay alive."""
     n, K = H.shape
     p = Z.shape[0]
     rng = np.random.Generator(np.random.Philox(key=seed))
     fold_ids = np.array_split(rng.permutation(n), folds)
     up = np.triu(np.ones((p, p), dtype=bool), 1)
+    bins = _GridBins(grid)
+    T, T_d = _basis_moments(Z, H, up)
     losses = np.zeros((K, grid.size))
     for hold in fold_ids:
-        mask = np.ones(n, dtype=bool)
-        mask[hold] = False
-        Z_tr, Z_ho = Z[:, mask], Z[:, ~mask]
-        _, C_tr = _moment_weights(H[mask])
-        _, C_ho = _moment_weights(H[~mask])
+        ho = np.zeros(n, dtype=bool)
+        ho[hold] = True
+        Mi_tr = np.linalg.inv(_moment_matrix(H[~ho]))
+        Mi_ho = np.linalg.inv(_moment_matrix(H[ho]))
+        G, G_d = _basis_moments(Z[:, ho], H[ho], up)
         for k in range(K):
-            R, rd = _to_correlation(_sym_moment(Z_tr, C_tr[k]))
-            S_ho = _sym_moment(Z_ho, C_ho[k])
-            diag = ((rd * rd - np.diagonal(S_ho)) ** 2).sum()
-            off = _scad_grid_loss(R[up], np.outer(rd, rd)[up], S_ho[up], grid)
+            d_tr = Mi_tr[k] @ (T_d - G_d)
+            rd = np.sqrt(np.clip(d_tr, _DIAG_FLOOR, None))
+            scale = np.outer(rd, rd)[up]
+            r = np.clip((Mi_tr[k] @ T - Mi_tr[k] @ G) / scale, -1.0, 1.0)
+            diag = ((rd * rd - Mi_ho[k] @ G_d) ** 2).sum()
+            off = _scad_grid_loss(r, scale, Mi_ho[k] @ G, bins)
             losses[k] += diag + 2.0 * off
     return losses
 
@@ -232,6 +292,10 @@ def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0
     estimate; the per-type grid value with the smallest summed loss wins.
     The loss is exact for every grid level and is computed for the whole
     grid in one pass per fold and type."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     Z = np.asarray(Z, dtype=float)
     H = np.asarray(H_hat, dtype=float)
     if grid is None:

@@ -15,6 +15,7 @@ replicate that fails numerically is recorded in the report and skipped.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -294,6 +295,18 @@ def resolve_workers(workers: int | None) -> int:
     return int(env)
 
 
+def _map_jobs(fn, jobs, workers: int) -> list:
+    """[fn(j) for j in jobs], in `workers` spawned processes when above 1.
+
+    Every replicate seeds its own substream, so the results do not depend
+    on the worker count."""
+    if workers > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(j) for j in jobs]
+
+
 def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
                         workers: int | None = None,
                         method_options: dict | None = None,
@@ -309,13 +322,8 @@ def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     reps = (list(range(config.replicates)) if replicate_subset is None
             else list(replicate_subset))
-    workers = resolve_workers(workers)
     jobs = [(config, method, r, level, method_options) for r in reps]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_worker, jobs))
-    else:
-        results = [_replicate_worker(j) for j in jobs]
+    results = _map_jobs(_replicate_worker, jobs, resolve_workers(workers))
 
     K = config.K
     per_rep = np.full((len(reps), K), np.nan)
@@ -367,7 +375,8 @@ class VErrorTable:
         }
 
 
-def _replicate_v_errors(config: SimConfig, methods, r: int, entries):
+def _replicate_v_errors(args):
+    config, methods, r, entries = args
     rng = replicate_rng(config.seed, r)
     W, Wobs, P, Y, Sig = replicate_dataset(config, rng)
     truth = sandwich(W, Sig, P ** 2) / Y.shape[0]   # at the /p scale
@@ -387,28 +396,31 @@ def _replicate_v_errors(config: SimConfig, methods, r: int, entries):
 
 def v_error_study(p_values=(150, 300), signature_sds=(1.0, 2.0), *,
                   methods=("decals", "ols"), n: int = 200,
-                  replicates: int = 10, seed: int = 0) -> VErrorTable:
+                  replicates: int = 10, seed: int = 0,
+                  workers: int | None = None) -> VErrorTable:
     """RMS estimation error of the per-sample covariance, per matrix entry,
     across a grid of gene counts and signature sds. Errors shrink as either
     grows, and the pipeline estimate beats the iid-error baseline throughout.
+    The replicates of every grid cell run in `workers` processes (see
+    resolve_workers); the table does not depend on their number.
     """
     K = 3
     entries = [(l, m) for l in range(K) for m in range(l, K)]
     table = VErrorTable(entries)
-    for p in p_values:
-        for a in signature_sds:
-            config = SimConfig(K=K, p=p, n=n, replicates=replicates,
-                               seed=seed, signature_sd=a)
-            per_rep = {m: [] for m in methods}
-            for r in range(replicates):
-                res = _replicate_v_errors(config, methods, r, entries)
-                for m in methods:
-                    per_rep[m].append(res[m])
-            for m in methods:
-                arr = np.stack(per_rep[m])
-                if len(arr) > 1:
-                    ses = arr.std(axis=0, ddof=1) / np.sqrt(len(arr))
-                else:
-                    ses = np.full(arr.shape[1], np.nan)
-                table.rows.append(VErrorRow(p, a, m, arr.mean(axis=0), ses))
+    cells = [SimConfig(K=K, p=p, n=n, replicates=replicates, seed=seed,
+                       signature_sd=a)
+             for p in p_values for a in signature_sds]
+    jobs = [(config, methods, r, entries)
+            for config in cells for r in range(replicates)]
+    results = _map_jobs(_replicate_v_errors, jobs, resolve_workers(workers))
+    for c, config in enumerate(cells):
+        per_rep = results[c * replicates:(c + 1) * replicates]
+        for m in methods:
+            arr = np.stack([res[m] for res in per_rep])
+            if len(arr) > 1:
+                ses = arr.std(axis=0, ddof=1) / np.sqrt(len(arr))
+            else:
+                ses = np.full(arr.shape[1], np.nan)
+            table.rows.append(VErrorRow(config.p, config.signature_sd, m,
+                                        arr.mean(axis=0), ses))
     return table

@@ -369,6 +369,18 @@ def test_simulate_verror_smoke(tmp_path, capsys):
     assert "decals" in capsys.readouterr().out
 
 
+
+def test_simulate_verror_is_independent_of_workers(tmp_path, capsys):
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        code = main(["simulate", "--preset", "tableS1", "--replicates", "1",
+                     "--seed", "4", "--workers", workers, "--out", str(out)])
+        assert code == EXIT_OK
+        outs.append(out)
+    for name in ["verror.json", "verror.csv"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 def test_version_and_usage():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

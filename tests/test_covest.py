@@ -194,6 +194,38 @@ def test_cv_rejects_bad_grid(grid):
         cross_validate_lambda(Z, H, grid=grid)
 
 
+@pytest.mark.parametrize("folds, seed, name", [
+    (1, 0, "folds"), (0, 0, "folds"), (-2, 0, "folds"), (5, -1, "seed")])
+def test_cv_rejects_bad_folds_and_seed(folds, seed, name):
+    rng = np.random.default_rng(6)
+    H = rng.dirichlet([2, 1], 40) ** 2
+    Z = rng.normal(0, 1, (10, 40))
+    with pytest.raises(ValueError, match=f"{name} must be >= "):
+        cross_validate_lambda(Z, H, folds=folds, seed=seed)
+    # checked before any work: even an unusable grid is not looked at
+    with pytest.raises(ValueError, match=f"{name} must be >= "):
+        cross_validate_lambda(Z, H, folds=folds, seed=seed, grid=[])
+
+
+@pytest.mark.parametrize("grid", [
+    DEFAULT_GRID, [0.0], [0.0, 0.1, 0.5], [0.5, 1.0, 2.0, 5.0],
+    [0.2, 0.2, 0.05], 0.3 + 1e-6 * np.arange(40)])
+def test_grid_bins_match_searchsorted(grid):
+    # entries at each breakpoint in [0, 1] and one ulp either side, 0 and 1,
+    # and random values; the last grid packs several breakpoints per cell
+    grid = np.asarray(grid, dtype=float)
+    bins = covest._GridBins(grid)
+    breaks = np.sort(np.concatenate([grid, 2.0 * grid, covest._SCAD_A * grid]))
+    at = breaks[breaks <= 1.0]
+    A = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0),
+                        [0.0, 1.0, np.nextafter(1.0, 0.0)],
+                        np.random.default_rng(5).uniform(0.0, 1.0, 5000)])
+    A = np.clip(A, 0.0, 1.0)
+    assert np.array_equal(bins.bin(A), np.searchsorted(breaks, A, side="left"))
+    if grid.size == 40:
+        assert bins.sweeps > 1
+
+
 @pytest.mark.parametrize("grid", [
     [0.1], [0.0, 0.1, 0.5], [0.5, 0.01, 0.2, 0.0, 1.0], [0.2, 0.2, 0.05],
     [0.95, 0.99]])
@@ -218,7 +250,8 @@ def test_grid_loss_edge_cases_match_oracle(grid):
     S_ho = 0.5 * (A + A.T)
     ref = _brute_grid_loss(R, scale, S_ho, grid)
     diag = ((rd * rd - np.diag(S_ho)) ** 2).sum()
-    got = diag + 2.0 * covest._scad_grid_loss(R[iu], scale[iu], S_ho[iu], grid)
+    got = diag + 2.0 * covest._scad_grid_loss(R[iu], scale[iu], S_ho[iu],
+                                          covest._GridBins(grid))
     _assert_matches_oracle(got, ref)
 
 

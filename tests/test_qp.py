@@ -1,5 +1,7 @@
 """Solver tests against two independent oracles plus KKT certificates."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -153,6 +155,82 @@ def test_nearest_psd_optimality_probe():
         t = rng.random()
         C = t * N + (1 - t) * (B @ B.T)          # convex PSD combinations
         assert np.linalg.norm(S - C) >= d0 - 1e-10
+
+
+def _full_eigh_psd(S):
+    """Reference projection: one full eigendecomposition, negative
+    eigenvalues clipped at zero."""
+    S = 0.5 * (S + S.T)
+    w, Q = np.linalg.eigh(S)
+    if w[0] >= 0.0:
+        return S
+    out = (Q * np.maximum(w, 0.0)) @ Q.T
+    return 0.5 * (out + out.T)
+
+
+def _with_spectrum(w, seed=0):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(0, 1, (len(w),) * 2))
+    S = (Q * w) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+def _assert_matches_full_eigh(S):
+    # rounding of two p x p eigensolvers, relative to the spectral scale
+    tol = 10 * np.finfo(float).eps * len(S) * max(np.abs(S).max(), 1e-300)
+    got = qp.nearest_psd(S)
+    assert_allclose(got, _full_eigh_psd(S), rtol=0, atol=tol)
+    assert_allclose(qp.nearest_psd(got), got, rtol=0, atol=tol)   # idempotent
+    return got
+
+
+@pytest.mark.parametrize("p", [1, 2, 150, 600])
+@pytest.mark.parametrize("share", [0.0, "one", 0.05, 0.4])
+def test_nearest_psd_matches_full_eigh(p, share):
+    rng = np.random.default_rng(p)
+    w = rng.uniform(0.1, 2.0, p)
+    neg = 1 if share == "one" else int(share * p)
+    w[:neg] = -rng.uniform(0.01, 1.0, neg)
+    got = _assert_matches_full_eigh(_with_spectrum(w, p))
+    assert np.linalg.eigvalsh(got)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 150, 600])
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_nearest_psd_keeps_pd_matrices_near_the_cholesky_shift(p, factor):
+    # smallest eigenvalue just above (2x) or below (0.5x) the shift
+    # 1e-10 * max-abs-row-sum that the Cholesky test subtracts: either way
+    # the matrix is PD and comes back unchanged
+    w = np.linspace(1.0, 2.0, p)
+    S = _with_spectrum(w, p)
+    tau = 1e-10 * np.abs(S).sum(axis=1).max()
+    w[0] = factor * tau
+    S = _with_spectrum(w, p)
+    assert np.array_equal(qp.nearest_psd(S), S)
+    if p >= qp._PARTIAL_EIG_MIN_P:
+        assert qp._is_pd(S) == (factor > 1.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 150, 600])
+def test_nearest_psd_zero_matrix_and_exact_zero_eigenvalues(p):
+    Z = np.zeros((p, p))
+    assert np.array_equal(qp.nearest_psd(Z), Z)
+    # diagonal: eigenvalues exact, so the projection is exact too
+    d = np.resize([2.0, 0.0, -1.0, 0.0, 0.5], p)
+    assert np.array_equal(qp.nearest_psd(np.diag(d)), np.diag(np.maximum(d, 0.0)))
+    # rotated: a PSD matrix with exact zero eigenvalues, and one with zeros
+    # next to negatives
+    w = np.resize([1.0, 0.0, 0.3], p)
+    _assert_matches_full_eigh(_with_spectrum(w, p))
+    _assert_matches_full_eigh(_with_spectrum(np.resize([1.0, 0.0, -0.3], p), p))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0,), (3,), (2, 3), (2, 2, 2)])
+def test_nearest_psd_checks_the_shape_first(shape):
+    # NaN entries too: the shape is reported, not the non-finite values
+    with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+        qp.nearest_psd(np.full(shape, np.nan))
+    with pytest.raises(NonFinite):
+        qp.nearest_psd(np.full((2, 2), np.nan))
 
 
 @pytest.mark.parametrize("exc", [SingularDesign, NonFinite])
