@@ -110,6 +110,7 @@ def cmd_deconvolve(args) -> int:
         "iterations": res.iterations,
         "converged": res.converged,
         "lambdas": res.lambdas,
+        "trace": res.trace,
         "warnings": collected + list(res.warnings),
         "versions": _versions(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

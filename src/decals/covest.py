@@ -15,10 +15,21 @@ cost two passes over the data instead of one per fold; they are kept as
 upper triangles and combined one cell type at a time.
 
 run_decals alternates: covariance estimates -> subject covariances -> sandwich
-covariances V_i -> new bias terms, until V stabilizes. When the corrected
-moment matrix H'H - B1 loses positive definiteness (correction larger than the
-signal, typical at small p), the loop permanently falls back to the raw
-estimator for the rest of the run and records a warning.
+covariances V_i -> new bias terms, until V stabilizes. The residuals Z and
+squared proportions H stay fixed inside that loop, and every estimate it
+makes is a combination of one basis of moments T_l = Z diag(w_l) Z' over
+the weight columns [H, s2], s2 the per-sample residual variance of the
+starting V. The basis is formed once per fit, its K H-columns are shared
+with the cross-validation, and each iteration recombines it with a
+K x (K+1) matrix instead of passing over the data again: the raw weights
+(H'H)^{-1} H' are (H'H)^{-1} [I | 0] on the basis, and the corrected
+weights M^{-1} (H - B2)', M = H'H - B1, are exact on it too, because B2 is
+s2 diag(base)'/p for the starting V and, once V comes from the sandwich,
+H D/p with D[k] the diagonal of type k's sandwich term. When the corrected
+moment matrix H'H - B1 loses positive definiteness (correction larger than
+the signal, typical at small p), the loop permanently falls back to the raw
+estimator for the rest of the run and records a warning. DecalsResult.trace
+keeps, per iteration, which estimator ran and the change in V.
 """
 
 from __future__ import annotations
@@ -55,6 +66,8 @@ class DecalsResult:
     converged: bool
     lambdas: np.ndarray | None = None        # per-type SCAD levels, sparse mode
     warnings: list[str] = field(default_factory=list)
+    # run_decals: per iteration {"path": "corrected" | "raw", "delta": float}
+    trace: list[dict] = field(default_factory=list)
 
     @property
     def on_boundary(self) -> np.ndarray:
@@ -86,12 +99,22 @@ def _sym_moment(Z, c) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _moments(Z, weights) -> np.ndarray:
+    """(L, p, p) symmetrized moments Z diag(w) Z', one per column w of the
+    (n, L) weights."""
+    p = Z.shape[0]
+    out = np.empty((weights.shape[1], p, p))
+    for l, w in enumerate(weights.T):
+        out[l] = _sym_moment(Z, w)
+    return out
+
+
 def cts_covariance_raw_all(H_hat, Z) -> np.ndarray:
     """All gene pairs at once: (K, p, p) array reusing one factorization."""
     H = np.asarray(H_hat, dtype=float)
     Z = np.asarray(Z, dtype=float)
     C = np.linalg.solve(_moment_matrix(H), H.T)          # (K, n)
-    return np.stack([_sym_moment(Z, c) for c in C])
+    return _moments(Z, C.T)
 
 
 def _bias_arrays(P, V, p):
@@ -111,6 +134,13 @@ def _bias_arrays(P, V, p):
     return 0.5 * (B1 + B1.T), B2
 
 
+def _corrected_moment(H, B1):
+    M = H.T @ H - B1
+    qp.check_pd(0.5 * (M + M.T), _CORRECTED_EIG_FLOOR, SingularCorrectedMoment,
+                "corrected moment matrix not positive definite")
+    return M
+
+
 def cts_covariance_corrected(H_hat, Z, B1, B2) -> np.ndarray:
     """Bias-corrected covariance estimates, (K, p, p), symmetrized.
 
@@ -118,11 +148,8 @@ def cts_covariance_corrected(H_hat, Z, B1, B2) -> np.ndarray:
     Raises SingularCorrectedMoment when H'H - B1 is not positive definite."""
     H = np.asarray(H_hat, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    M = H.T @ H - B1
-    qp.check_pd(0.5 * (M + M.T), _CORRECTED_EIG_FLOOR, SingularCorrectedMoment,
-                "corrected moment matrix not positive definite")
-    C = np.linalg.solve(M, (H - B2).T)
-    return np.stack([_sym_moment(Z, c) for c in C])
+    C = np.linalg.solve(_corrected_moment(H, B1), (H - B2).T)
+    return _moments(Z, C.T)
 
 
 def scad_threshold(R, lam: float, a: float = _SCAD_A) -> np.ndarray:
@@ -246,17 +273,18 @@ def _basis_moments(Z, H, up):
     return tri, diag
 
 
-def _cv_losses(Z, H, folds: int, grid, seed: int) -> np.ndarray:
+def _cv_losses(Z, H, folds: int, grid, seed: int, basis=None) -> np.ndarray:
     """(K, G) held-out Frobenius loss of each type's thresholded training
     estimate, summed over the folds.
 
     A fold's moment weights are C = M^{-1} H' over its samples, M = H'H, so
     type k's training moment is sum_l M_tr^{-1}[k, l] (T_l - G_l) and its
     held-out moment sum_l M_ho^{-1}[k, l] G_l. T_l = Z diag(h_l) Z' runs over
-    all samples and is formed once; G_l is the same moment over the fold's
-    held-out samples. Every moment is kept as its upper triangle (the loss
-    is symmetric) and diagonal, which enters through a term that does not
-    depend on lam, and the types are combined one at a time: only T and one
+    all samples; `basis` (K, p, p) holds it when the caller formed it
+    already. G_l is the same moment over the fold's held-out samples. The
+    loss uses each moment's upper triangle (the loss is symmetric) and
+    diagonal, which enters through a term that does not depend on lam, and
+    the types are combined one at a time: besides the basis, only T and one
     fold's G, each (K, p(p-1)/2), stay alive."""
     n, K = H.shape
     p = Z.shape[0]
@@ -264,7 +292,9 @@ def _cv_losses(Z, H, folds: int, grid, seed: int) -> np.ndarray:
     fold_ids = np.array_split(rng.permutation(n), folds)
     up = np.triu(np.ones((p, p), dtype=bool), 1)
     bins = _GridBins(grid)
-    T, T_d = _basis_moments(Z, H, up)
+    if basis is None:
+        basis = _moments(Z, H)
+    T, T_d = basis[:, up], np.diagonal(basis, axis1=1, axis2=2)
     losses = np.zeros((K, grid.size))
     for hold in fold_ids:
         ho = np.zeros(n, dtype=bool)
@@ -283,15 +313,17 @@ def _cv_losses(Z, H, folds: int, grid, seed: int) -> np.ndarray:
     return losses
 
 
-def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0
-                          ) -> np.ndarray:
+def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0,
+                          basis=None) -> np.ndarray:
     """Per-type SCAD level minimizing held-out Frobenius loss.
 
     Samples are split into `folds` groups by a seeded permutation. For each
     fold, the thresholded training estimate is compared to the raw held-out
     estimate; the per-type grid value with the smallest summed loss wins.
     The loss is exact for every grid level and is computed for the whole
-    grid in one pass per fold and type."""
+    grid in one pass per fold and type. `basis`, when given, holds the
+    (K, p, p) full-sample moments Z diag(H[:, l]) Z' (as run_decals forms
+    them), which are then not formed again."""
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if seed < 0:
@@ -314,7 +346,12 @@ def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0
         raise InsufficientSamples(
             f"need n >= {need} for {folds}-fold cross-validation with "
             f"K={K}, got {n}")
-    return grid[np.argmin(_cv_losses(Z, H, folds, grid, seed), axis=1)]
+    if basis is not None and np.shape(basis) != (K, Z.shape[0], Z.shape[0]):
+        raise DimensionMismatch(
+            f"basis has shape {np.shape(basis)}; need "
+            f"({K}, {Z.shape[0]}, {Z.shape[0]})")
+    losses = _cv_losses(Z, H, folds, grid, seed, basis)
+    return grid[np.argmin(losses, axis=1)]
 
 
 def subject_covariance(proportions, cts) -> np.ndarray:
@@ -351,6 +388,8 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
         raise InsufficientSamples(f"need n >= K for the moment regression, got n={n}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0.0:                        # NaN or <= 0 never converges
+        raise ValueError(f"tol must be > 0, got {tol}")
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.shape != (K,):
@@ -361,6 +400,7 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
             raise ValueError(f"lambdas must be finite and >= 0, "
                              f"got {lambdas.tolist()}")
     run_warnings: list[str] = []
+    trace: list[dict] = []
 
     P = estimate_proportions(W, Y)
     H = P ** 2
@@ -372,42 +412,59 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
     base = U @ Omi @ U.T
     V = s2[:, None, None] * base[None, :, :]           # (n, K, K)
 
+    # the basis T over [H, s2] (over H alone without correction); every
+    # estimate below is R @ T for a K x (K+1) (K x K) matrix R
+    T = _moments(Z, np.column_stack([H, s2]) if correct else H)
     if sparse and lambdas is None:
         try:
-            lambdas = cross_validate_lambda(Z, H, seed=seed)
+            lambdas = cross_validate_lambda(Z, H, seed=seed, basis=T[:K])
         except InsufficientSamples as err:
             raise InsufficientSamples(
                 f"{err}; too few samples to cross-validate the threshold "
                 f"level, pass fixed `lambdas` instead") from None
 
+    # (H - B2)' = E [H, s2]'; the starting V_i = s2_i base gives
+    # B2 = s2 diag(base)'/p
+    E = np.column_stack([np.eye(K), -np.diagonal(base) / p])
+    R_raw = None
     tripped = False
     converged = False
     iterations = 0
-    Sk = np.zeros((K, p, p))
+    di = np.arange(p)
+    # unit weights after H give the per-type sandwich terms U A_k U'
+    weights = np.vstack([H, np.eye(K)])
     for t in range(max_iter):
         iterations = t + 1
-        use_correct = correct and not tripped
-        if use_correct:
-            B1, B2 = _bias_arrays(P, V, p)
+        path = "raw"
+        if correct and not tripped:
+            B1, _ = _bias_arrays(P, V, p)
             try:
-                Sk = cts_covariance_corrected(H, Z, B1, B2)
+                R = np.linalg.solve(_corrected_moment(H, B1), E)
+                path = "corrected"
             except SingularCorrectedMoment as err:
                 tripped = True
                 msg = (f"iteration {t}: {err}; bias correction disabled, "
                        f"raw estimator used for the rest of the run")
                 run_warnings.append(msg)
                 warnings.warn(msg)
-        if not (correct and not tripped):
-            Sk = cts_covariance_raw_all(H, Z)
+        if path == "raw":
+            if R_raw is None:
+                R_raw = np.linalg.inv(_moment_matrix(H))
+            R = R_raw
+        Sk = np.tensordot(R, T[:R.shape[1]], axes=1)
         # variance floor, then optional sparsification
-        di = np.arange(p)
         for k in range(K):
             Sk[k, di, di] = np.maximum(Sk[k, di, di], _DIAG_FLOOR)
             if sparse:
                 Sk[k] = _sparsify(Sk[k], lambdas[k])
-        Vn = sandwich(Wv, Sk, H)
+        Vw = sandwich(Wv, Sk, weights)
+        Vn = Vw[:n]
+        # V_i = sum_k H_ik Vt_k, so B2 = H D/p with D[k] = diag(Vt_k)
+        D = np.einsum('kjj->kj', Vw[n:])
+        E = np.column_stack([(np.eye(K) - D / p).T, np.zeros(K)])
         delta = (np.abs(Vn - V).max(axis=(1, 2))
                  / (1.0 + np.abs(V).max(axis=(1, 2)))).max()
+        trace.append({"path": path, "delta": float(delta)})
         V = Vn
         if delta < tol:
             converged = True
@@ -418,4 +475,4 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
         warnings.warn(msg, NonConvergenceWarning)
 
     return DecalsResult(P, V / p, Sk, iterations, converged, lambdas,
-                        run_warnings)
+                        run_warnings, trace)

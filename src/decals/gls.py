@@ -162,6 +162,8 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
     n = Yv.shape[1]
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0.0:                        # NaN or <= 0 never converges
+        raise ValueError(f"tol must be > 0, got {tol}")
     run_warnings: list[str] = []
 
     V = np.empty((n, K, K))

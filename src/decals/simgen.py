@@ -288,6 +288,8 @@ def _replicate_worker(args):
 def resolve_workers(workers: int | None) -> int:
     """workers, else $DECALS_WORKERS, else 1."""
     if workers is not None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         return workers
     env = os.environ.get("DECALS_WORKERS", "1")
     if not env.isdecimal() or int(env) < 1:

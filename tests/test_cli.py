@@ -90,6 +90,11 @@ def test_deconvolve_interval_levels(noiseless_data, tmp_path):
     assert _deconvolve(root, out, ["--level", "0.8"]) == EXIT_OK
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["options"]["level"] == 0.8
+    assert len(meta["trace"]) == meta["iterations"]
+    for entry in meta["trace"]:
+        assert sorted(entry) == ["delta", "path"]
+        assert entry["path"] in ("corrected", "raw")
+        assert entry["delta"] >= 0.0
     lines = (out / "intervals.csv").read_text().splitlines()
     assert lines[0] == "sample_id,cell_type,estimate,lower,upper"
     assert len(lines) == 1 + 20 * 3

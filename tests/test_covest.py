@@ -17,7 +17,7 @@ from decals.covest import (_bias_arrays, cross_validate_lambda,
                            cts_covariance_corrected, cts_covariance_raw_all,
                            residuals, run_decals, scad_threshold,
                            subject_covariance)
-from decals.deconv import estimate_proportions
+from decals.deconv import constraint_projector, estimate_proportions, sandwich
 from decals.errors import (DimensionMismatch, InsufficientSamples,
                            NonConvergenceWarning, SingularCorrectedMoment,
                            SingularMomentMatrix)
@@ -332,6 +332,9 @@ def test_run_decals_contracts():
     assert_allclose(res.covariances[0], res2.covariances[0], atol=0)
     with pytest.raises(ValueError):
         run_decals(W, Y, max_iter=0)
+    for tol in (np.nan, 0.0, -1e-4):
+        with pytest.raises(ValueError, match=f"tol must be > 0, got {tol}"):
+            run_decals(W, Y, tol=tol)
     with pytest.raises(InsufficientSamples):
         run_decals(W, Y[:, :2])
 
@@ -415,3 +418,122 @@ def test_run_decals_uncorrected_and_dense_paths():
     Vd = np.abs(res_d.covariances).max()
     Vs = np.abs(res_s.covariances).max()
     assert Vs > Vd
+
+
+def _oracle_loop(W, Y, max_iter, sparse, correct, lambdas):
+    """run_decals' fixed-point loop rebuilt from the public estimators:
+    bias terms -> corrected (or raw) moment regression over the residuals
+    -> diagonal floor -> SCAD + PSD -> sandwich. Returns V (estimate scale),
+    the per-type covariances and the paths taken."""
+    P = estimate_proportions(W, Y)
+    H = P ** 2
+    Z = residuals(W, Y, P)
+    U, Omi = constraint_projector(W)
+    p, K = W.shape
+    V = ((Z * Z).sum(axis=0) / (p - 1))[:, None, None] * (U @ Omi @ U.T)
+    paths = []
+    for _ in range(max_iter):
+        Sk = None
+        if correct and "raw" not in paths:
+            B1, B2 = _bias_arrays(P, V, p)
+            try:
+                Sk = cts_covariance_corrected(H, Z, B1, B2)
+            except SingularCorrectedMoment:
+                pass
+        paths.append("raw" if Sk is None else "corrected")
+        if Sk is None:
+            Sk = cts_covariance_raw_all(H, Z)
+        for k in range(K):
+            np.fill_diagonal(Sk[k], np.maximum(np.diagonal(Sk[k]),
+                                               covest._DIAG_FLOOR))
+            if sparse:
+                Sk[k] = covest._sparsify(Sk[k], lambdas[k])
+        V = sandwich(W, Sk, H)
+    return V / p, Sk, paths
+
+
+def _assert_matrices_close(got, ref, rtol=1e-10):
+    """Each matrix of a stack within rtol of the reference in sup norm
+    relative to the reference's largest entry: entries far below it carry
+    cancellation error of that entry's size, not of their own."""
+    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(got - ref) <= rtol * scale).all()
+
+
+# (data seed, options, paths of three iterations)
+LOOP_CASES = {
+    "corrected": (0, {}, ["corrected"] * 3),
+    "fallback": (4, {}, ["corrected", "raw", "raw"]),
+    "uncorrected": (0, {"correct": False}, ["raw"] * 3),
+    "dense": (0, {"sparse": False}, ["corrected"] * 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_run_decals_loop_matches_public_oracles(case):
+    seed, options, paths = LOOP_CASES[case]
+    W, _, Y = _sim(np.random.default_rng(seed), p=60, n=60, noise=1.0)
+    sparse = options.get("sparse", True)
+    correct = options.get("correct", True)
+    for m in (1, 2, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_decals(W, Y, max_iter=m, tol=1e-300, **options)
+        V, Sk, got_paths = _oracle_loop(W, Y, m, sparse, correct, res.lambdas)
+        assert got_paths == paths[:m]
+        # a second raw iteration in a row repeats V exactly (delta 0) and stops
+        assert res.iterations == m or paths[m - 2:m] == ["raw", "raw"]
+        assert [e["path"] for e in res.trace] == paths[:res.iterations]
+        _assert_matrices_close(res.covariances, V)
+        _assert_matrices_close(res.cts_covariances, Sk)
+
+
+def test_cv_shared_basis_gives_identical_levels():
+    W, _, Y = _sim(np.random.default_rng(0), p=60, n=60, noise=1.0)
+    P = estimate_proportions(W, Y)
+    H = P ** 2
+    Z = residuals(W, Y, P)
+    own = cross_validate_lambda(Z, H, seed=3)
+    shared = cross_validate_lambda(Z, H, seed=3, basis=covest._moments(Z, H))
+    assert own.tolist() == shared.tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run_decals(W, Y, max_iter=1, seed=3)
+    assert res.lambdas.tolist() == own.tolist()
+    with pytest.raises(DimensionMismatch, match="basis"):
+        cross_validate_lambda(Z, H, basis=covest._moments(Z, H[:, :2]))
+
+
+@pytest.mark.parametrize("correct, cv, expected", [
+    (True, False, 4), (False, False, 3), (True, True, 4 + 5 * 3)])
+def test_fit_forms_each_moment_once(monkeypatch, correct, cv, expected):
+    # K + 1 basis moments (K uncorrected), plus K per CV fold, for any
+    # number of iterations
+    W, _, Y = _sim(np.random.default_rng(0), p=60, n=60, noise=1.0)
+    calls = []
+    sym = covest._sym_moment
+    monkeypatch.setattr(covest, "_sym_moment",
+                        lambda Z, c: calls.append(Z.shape) or sym(Z, c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run_decals(W, Y, max_iter=3, tol=1e-300, correct=correct,
+                         lambdas=None if cv else [0.1, 0.1, 0.1])
+    assert res.iterations == (3 if correct else 2)
+    assert len(calls) == expected
+
+
+def test_trace_records_each_iteration_and_the_fallback():
+    W, _, Y = _sim(np.random.default_rng(4), p=60, n=60, noise=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run_decals(W, Y, max_iter=5, tol=1e-300)
+    assert len(res.trace) == res.iterations
+    for entry in res.trace:
+        assert sorted(entry) == ["delta", "path"]
+        assert entry["path"] in ("corrected", "raw")
+        assert type(entry["delta"]) is float
+    fallback = [w for w in res.warnings if "bias correction disabled" in w]
+    assert len(fallback) == 1
+    first_raw = [e["path"] for e in res.trace].index("raw")
+    assert fallback[0].startswith(f"iteration {first_raw}: ")
+    assert all(e["path"] == "raw" for e in res.trace[first_raw:])

@@ -134,6 +134,14 @@ def test_iteration_warns_without_convergence():
     assert np.isfinite(res.covariances).all()
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-4])
+def test_iteration_rejects_tol_that_never_converges(tol):
+    rng = np.random.default_rng(8)
+    W, P, Y = _sim(rng)
+    with pytest.raises(ValueError, match=f"tol must be > 0, got {tol}"):
+        run_gls_iterative(W, Y, tol=tol)
+
+
 def test_iteration_determinism():
     rng = np.random.default_rng(9)
     W, P, Y = _sim(rng)

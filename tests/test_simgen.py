@@ -200,6 +200,27 @@ def test_coverage_experiment_determinism_and_subset():
     assert d["config"]["p"] == 45 and len(d["per_replicate"]) == 3
 
 
+@pytest.mark.parametrize("workers, env, message", [
+    (None, "0", "DECALS_WORKERS must be an integer >= 1, got '0'"),
+    (None, "two", "DECALS_WORKERS must be an integer >= 1, got 'two'"),
+    (0, "2", "workers must be >= 1, got 0"),
+    (-3, None, "workers must be >= 1, got -3"),
+], ids=["env-zero", "env-word", "direct-zero", "direct-negative"])
+def test_worker_counts_below_one_are_rejected(monkeypatch, workers, env,
+                                              message):
+    if env is None:
+        monkeypatch.delenv("DECALS_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("DECALS_WORKERS", env)
+    with pytest.raises(ValueError) as err:
+        simgen.resolve_workers(workers)
+    assert str(err.value) == message
+    # the harness does not fall back to a serial run
+    with pytest.raises(ValueError, match="must be"):
+        coverage_experiment(SimConfig(p=30, n=20, replicates=1), "ols",
+                            workers=workers)
+
+
 def test_coverage_experiment_records_failures():
     # n too small for cross-validation: every replicate fails, none fatal
     cfg = SimConfig(p=45, n=12, replicates=2, seed=0)
