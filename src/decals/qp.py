@@ -6,9 +6,13 @@ The simplex solver is a dual active-set method (Goldfarb-Idnani): start at the
 unconstrained minimizer, impose the sum-to-one equality first, then add violated
 nonnegativity constraints one at a time, taking the dual-feasible step length at
 each move. The design dimension K is small, so per-step systems are solved
-directly against one Cholesky factorization of W'W. `solve_simplex_ls` takes
-a matrix of responses too: it checks and factors W'W once and runs the active
-set per column, so fitting n samples costs one K x K factorization, not n.
+directly against one Cholesky factorization of W'W. Both entry points take
+stacks: `solve_simplex_ls` a matrix of responses against one W'W, checked and
+factored once, and `solve_simplex_normal` a stack of normal equations. The
+first phase, the unconstrained start and the sum-to-one step, runs for the
+whole stack at once, elementwise across its members; only the members whose
+step leaves the simplex go on, one at a time, to add nonnegativity
+constraints.
 
 The PSD projection clips negative eigenvalues at zero. The thresholded
 covariances it receives are often positive definite already, and otherwise
@@ -22,14 +26,18 @@ one full eigendecomposition: there the partial solve does not pay.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
+from scipy.linalg import cho_solve, cholesky, eigh
 
 from .errors import DimensionMismatch, MaxIterations, NonFinite, SingularDesign
 
 # Relative eigenvalue threshold below which W'W counts as singular.
 _COND_FLOOR = 1e-10
-# Negative dust on returned proportions is clamped to zero up to this slack.
-_CLAMP = 1e-12
+# The active set loop ends once every entry is at least this; the negative
+# dust left is clamped to zero before normalizing.
+_FEASIBLE = -1e-11
+# A step toward a constraint is degenerate when its component along the
+# constraint's normal is at most this times max(1, |violation|).
+_STEP_FLOOR = 1e-13
 # Size from which nearest_psd computes only the nonpositive eigenpairs. Timed
 # on one core, that partial solve costs no more than a full eigh at p >= 500
 # when up to 22% of the eigenvalues are negative (the median share in
@@ -83,30 +91,27 @@ def solve_simplex_ls(W, y, *, names=None) -> np.ndarray:
     Raises MaxIterations if the active-set loop exceeds 50*(K+1) changes.
 
     A 2-D y (p, n) returns the (n, K) minimizers of its columns, each equal
-    to its one-column solve: W'W is checked and factored once, W'y_i is
-    formed per column. Every response is checked before any is solved. An
-    error about one column is prefixed with its entry of `names` (default
-    "column i").
+    to its one-column solve: W'W is checked and factored once, and a 1-D y
+    is solved as a matrix of one column. Every response is checked before
+    any is solved. An error about one column is prefixed with its entry of
+    `names` (default "column i").
     """
     W, y = _as_problem(W, y, ndims=(1, 2))
-    if y.ndim == 1:
-        return _gi_simplex(cho_factor(_gram(W)), W.T @ y)
 
     def name(i):
         return names[i] if names is not None else f"column {i}"
 
-    bad = ~np.isfinite(y).all(axis=0)
+    Y = y.reshape(len(y), -1)
+    bad = ~np.isfinite(Y).all(axis=0)
     if bad.any():
         raise NonFinite(f"{name(int(np.argmax(bad)))}: design or response "
                         "contains NaN/Inf")
-    c = cho_factor(_gram(W))
-    out = np.empty((y.shape[1], W.shape[1]))
-    for i in range(y.shape[1]):
-        try:
-            out[i] = _gi_simplex(c, W.T @ y[:, i])
-        except MaxIterations as err:
-            raise MaxIterations(f"{name(i)}: {err}") from None
-    return out
+    L = np.linalg.cholesky(_gram(W))
+    # einsum sums each column on its own, in an order that does not depend on
+    # how many columns there are (a BLAS product's rounding can)
+    a = np.einsum('pk,pn->nk', W, Y)
+    pi = _solve_stack(L[None], a, name if y.ndim == 2 else None)
+    return pi if y.ndim == 2 else pi[0]
 
 
 def solve_simplex_normal(G, a) -> np.ndarray:
@@ -114,29 +119,104 @@ def solve_simplex_normal(G, a) -> np.ndarray:
 
     Normal-equation form of solve_simplex_ls: equivalent to it on any design
     with W'W = G and W'y = a. Useful when the design itself is never formed.
+    A stack G (n, K, K), a (n, K) returns the (n, K) minimizers, each equal
+    to its one-matrix solve; an error about one member names its index.
     """
     G = np.asarray(G, dtype=float)
     a = np.asarray(a, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1] or a.shape != (G.shape[0],):
+    if (G.ndim not in (2, 3) or G.shape[-1] != G.shape[-2]
+            or a.shape != G.shape[:-1]):
         raise DimensionMismatch(f"incompatible shapes {G.shape} and {a.shape}")
-    if not (np.isfinite(G).all() and np.isfinite(a).all()):
-        raise NonFinite("normal equations contain NaN/Inf")
-    check_pd(0.5 * (G + G.T), _COND_FLOOR, SingularDesign,
+    stack = G.ndim == 3
+    bad = ~(np.isfinite(G).all(axis=(-2, -1)) & np.isfinite(a).all(axis=-1))
+    if bad.any():
+        raise NonFinite((f"matrix {int(np.argmax(bad))}: " if stack else "")
+                        + "normal equations contain NaN/Inf")
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    check_pd(G, _COND_FLOOR, SingularDesign,
              "moment matrix numerically singular")
-    return _gi_simplex(cho_factor(G), a)
+    K = G.shape[-1]
+    L = np.linalg.cholesky(G).reshape(-1, K, K)
+    pi = _solve_stack(L, a.reshape(-1, K),
+                      (lambda i: f"matrix {i}") if stack else None)
+    return pi if stack else pi[0]
 
 
-def _gi_simplex(c, a) -> np.ndarray:
-    """Active-set solve for a finite `a` against c, a cho_factor of the
-    positive definite G; the solves skip scipy's finiteness checks."""
-    K = len(a)
+def _solve_stack(L, a, name):
+    """Simplex minimizers (n, K) of 0.5 x'G_i x - a_i'x for the rows a_i of
+    a (n, K), with L (n or 1, K, K) the lower Cholesky factors of the G_i.
 
-    pi = cho_solve(c, a, check_finite=False)     # unconstrained start
+    The first phase of the active set, the sum-to-one step from the
+    unconstrained start, runs for all rows at once. It is the whole solve
+    for a row whose step lands in the simplex. Only the other rows go on to
+    _gi_simplex, from the state the phase left. MaxIterations from row i is
+    prefixed with name(i), or not at all when name is None."""
+    n, K = a.shape
+    L = np.broadcast_to(L, (n, K, K))
+    X = _cho_solve_rows(L, np.stack([a, np.ones((n, K))], axis=2))
+    pi, z = X[:, :, 0], X[:, :, 1]
+    viol = 1.0 - _row_sum(pi)
+    denom = _row_sum(z)
+    ok = _step_ok(denom, viol)
+    t = viol / np.where(ok, denom, 1.0)
+    pi = pi + t[:, None] * z
+    for i in np.flatnonzero(~ok | (pi.min(axis=1) < _FEASIBLE)):
+        try:
+            if not ok[i]:
+                raise MaxIterations("no feasible step; constraints degenerate")
+            pi[i] = _gi_simplex((L[i].T, False), pi[i], t[i])
+        except MaxIterations as err:
+            if name is None:
+                raise
+            raise MaxIterations(f"{name(i)}: {err}") from None
+    pi = np.maximum(pi, 0.0)                 # dust above the exit test
+    return pi / _row_sum(pi)[:, None]
+
+
+def _step_ok(denom, viol):
+    return denom > _STEP_FLOOR * np.maximum(1.0, np.abs(viol))
+
+
+def _row_sum(M):
+    # left to right over the K columns, elementwise over the rows, so a row's
+    # sum does not depend on the other rows
+    s = M[:, 0].copy()
+    for k in range(1, M.shape[1]):
+        s += M[:, k]
+    return s
+
+
+def _cho_solve_rows(L, B):
+    """X (n, K, r) with L_i L_i' X_i = B_i, for lower factors L (n, K, K),
+    by forward and back substitution over the K rows. The arithmetic is
+    elementwise across the stack, so each X_i is what a stack of one gives."""
+    K = B.shape[1]
+    X = np.empty_like(B)
+    for j in range(K):
+        s = B[:, j]
+        for m in range(j):
+            s = s - L[:, j, m, None] * X[:, m]
+        X[:, j] = s / L[:, j, j, None]
+    for j in reversed(range(K)):
+        s = X[:, j]
+        for m in range(j + 1, K):
+            s = s - L[:, m, j, None] * X[:, m]
+        X[:, j] = s / L[:, j, j, None]
+    return X
+
+
+def _gi_simplex(c, pi, t) -> np.ndarray:
+    """Active-set loop for one row from where the first phase left it: pi on
+    the sum-to-one plane, reached by a step of length t, the equality's
+    multiplier. c is a (factor, lower) pair for cho_solve of the positive
+    definite G; the solves skip scipy's finiteness checks. Returns pi with
+    every entry at least _FEASIBLE."""
+    K = len(pi)
     ones = np.ones(K)
 
     # active constraint normals; index 0 is the equality, k>=1 pins pi[k-1] at 0
-    act: list[int] = []
-    u = np.zeros(0)
+    act = [0]
+    u = np.array([t])
 
     def normal(idx):
         if idx == 0:
@@ -147,14 +227,12 @@ def _gi_simplex(c, a) -> np.ndarray:
 
     def step_dirs(nplus, N):
         z0 = cho_solve(c, nplus, check_finite=False)
-        if N.shape[1] == 0:
-            return z0, np.zeros(0)
         GiN = cho_solve(c, N, check_finite=False)
         r = np.linalg.solve(N.T @ GiN, N.T @ z0)
         return z0 - GiN @ r, r
 
     cap = 50 * (K + 1)
-    changes = 0
+    changes = 1                              # the first phase's equality
 
     def take_in(idx, bval):
         # add constraint idx (target n'pi = bval) keeping dual feasibility
@@ -165,25 +243,28 @@ def _gi_simplex(c, a) -> np.ndarray:
             if changes > cap:
                 raise MaxIterations("active-set change cap exceeded")
             nplus = normal(idx)
-            N = np.column_stack([normal(j) for j in act]) if act else np.zeros((K, 0))
+            N = np.column_stack([normal(j) for j in act])
             z, r = step_dirs(nplus, N)
+            # the step keeps active entries at zero; pinning them exactly
+            # keeps rounding from pushing one below the exit test, which on
+            # an ill-conditioned G makes the loop take it in again and cycle
+            z[[j - 1 for j in act if j]] = 0.0
             viol = bval - nplus @ pi
             # dual blocking step (equality constraint never leaves)
             t1 = np.inf
             drop = -1
             for pos, j in enumerate(act):
-                if j != 0 and r[pos] > 1e-13:
+                if j != 0 and r[pos] > _STEP_FLOOR:
                     tj = u[pos] / r[pos]
                     if tj < t1:
                         t1, drop = tj, pos
             denom = nplus @ z
-            t2 = viol / denom if denom > 1e-13 * max(1.0, abs(viol)) else np.inf
+            t2 = viol / denom if _step_ok(denom, viol) else np.inf
             t = min(t1, t2)
             if not np.isfinite(t):
                 raise MaxIterations("no feasible step; constraints degenerate")
             pi = pi + t * z
-            if len(u):
-                u = u - t * r
+            u = u - t * r
             uplus += t
             if t2 <= t1:
                 act.append(idx)
@@ -193,16 +274,11 @@ def _gi_simplex(c, a) -> np.ndarray:
             act.pop(drop)
             u = np.delete(u, drop)
 
-    take_in(0, 1.0)                          # equality first
     while True:
         k = int(np.argmin(pi))
-        if pi[k] >= -1e-11:
-            break
+        if pi[k] >= _FEASIBLE:
+            return pi
         take_in(k + 1, 0.0)
-
-    pi = np.where(pi < 0.0, np.where(pi >= -_CLAMP, 0.0, pi), pi)
-    pi = np.maximum(pi, 0.0)                 # residual dust after the loop exit test
-    return pi / pi.sum()
 
 
 def nearest_psd(S) -> np.ndarray:

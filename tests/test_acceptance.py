@@ -65,7 +65,7 @@ def test_criterion_01_constrained_coverage(desk):
     secs = desk["decals_seconds"]
     ok = bool(((cov >= 0.92) & (cov <= 0.98)).all() and secs <= 600.0)
     _record(1, "desk coverage, constrained estimator", ok,
-            f"{_fmt_cov(cov)} in [0.92, 0.98], {secs:.0f}s <= 600s")
+            f"{_fmt_cov(cov)} in [0.92, 0.98], time <= 600s {secs <= 600.0}")
 
 
 def test_criterion_02_iid_baseline_overcovers(desk):
@@ -170,7 +170,7 @@ def test_criterion_07_bias_terms_match_simulation():
     ok = bool(z1 <= 3.0 and z2 <= 3.0 and secs <= 60.0)
     _record(7, "bias terms match simulation", ok,
             f"max |dev|/SE: moment {z1:.2f}, mean {z2:.2f} (<= 3); "
-            f"{secs:.1f}s <= 60s")
+            f"time <= 60s {secs <= 60.0}")
 
 
 def test_criterion_08_solver_matches_oracles():
@@ -223,10 +223,13 @@ def test_criterion_09_structural_invariants():
     ok = bool(sum_dev <= 1e-6 and sym_dev <= 1e-10 and eig_min >= -1e-8
               and cts_min >= -1e-8 * cts_scale and simplex_ok
               and det == 0.0 and detv == 0.0)
+    # the figures are rounding noise, whose digits move with the BLAS thread
+    # count, so the line reports them against their bounds
     _record(9, "structural invariants of the fit", ok,
-            f"max |V 1| {sum_dev:.1e}, min eig {eig_min:.1e}, min "
-            f"cell-type-cov eig {cts_min:.1e}, simplex {simplex_ok}, "
-            f"rerun dev {max(det, detv):.1e}")
+            f"max |V 1| <= 1e-6 {sum_dev <= 1e-6}, |V - V'| <= 1e-10 "
+            f"{sym_dev <= 1e-10}, min eig >= -1e-8 {eig_min >= -1e-8}, min "
+            f"cell-type-cov eig >= -1e-8 x scale {cts_min >= -1e-8 * cts_scale}"
+            f", simplex {simplex_ok}, rerun dev {max(det, detv):.1e}")
 
 
 def test_criterion_10_threshold_branch_values():

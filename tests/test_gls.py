@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 
 from conftest import enum_simplex_ls, one_sandwich
 from decals import gls, qp
+from decals.covest import cts_covariance_raw_all, subject_covariance
 from decals.deconv import estimate_proportions
 from decals.errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
-                           SingularSigma)
+                           SingularDesign, SingularSigma)
 from decals.gls import gls_covariance, run_gls_iterative, solve_gls
 
 
@@ -217,9 +218,9 @@ def floored_calls(monkeypatch):
     calls = []
     real = gls._floored_eig
 
-    def counting(S):
+    def counting(S, *args):
         calls.append(len(S))
-        return real(S)
+        return real(S, *args)
 
     monkeypatch.setattr(gls, "_floored_eig", counting)
     return calls
@@ -285,9 +286,175 @@ def test_stacked_shapes_are_checked():
         solve_gls(W, np.ones(10), S)
     with pytest.raises(DimensionMismatch):
         gls_covariance(W, np.eye(9))
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite,
+                       match="^matrix 1: subject covariance contains NaN/Inf"):
         S[1, 2, 3] = np.nan
         gls_covariance(W, S)
-    with pytest.raises(SingularSigma):
+    with pytest.raises(SingularSigma, match="^matrix 1: subject covariance has "
+                       "no positive eigenvalue"):
         solve_gls(W, np.ones((10, 3)), np.stack([np.eye(10), -np.eye(10),
                                                  np.eye(10)]))
+    with pytest.raises(NonFinite, match="^matrix 2: normal equations"):
+        solve_gls(W, np.vstack([np.ones((9, 3)), [1.0, 1.0, np.nan]]),
+                  np.stack([np.eye(10)] * 3))
+    with pytest.raises(SingularDesign, match="^matrix 0: moment matrix"):
+        solve_gls(np.column_stack([W[:, 0], W]), np.ones((10, 3)),
+                  np.stack([np.eye(10)] * 3))
+
+
+def test_mixed_chunk_takes_the_floor_as_a_whole(floored_calls):
+    # one chunk holding PD and indefinite covariances is floored entirely;
+    # each sample then matches the eigendecomposition-only kernel
+    rng = np.random.default_rng(14)
+    p = 20
+    W, _ = _design(rng, p=p)
+    S = np.concatenate([np.stack([_rand_cov(rng, p) for _ in range(3)]),
+                        _mixed_stack(rng, p)])
+    n = len(S)
+    Y = W @ rng.dirichlet([3, 2, 1], n).T + rng.normal(0, 1, (p, n))
+    est = solve_gls(W, Y, S)
+    V = gls_covariance(W, S)
+    assert floored_calls == [n, n]
+    for i in range(n):
+        tol = max(1e-12, 1e-15 * np.linalg.cond(_old_gram(W, S[i])))
+        assert_allclose(est[i], _old_solve_gls(W, Y[:, i], S[i]), rtol=tol,
+                        atol=tol)
+        assert_allclose(V[i], _old_gls_covariance(W, S[i]), rtol=tol,
+                        atol=1e-14)
+
+
+def test_whitening_calls_scipy_on_single_matrices(monkeypatch):
+    # scipy batches its linalg routines over stacks only from 1.15 on
+    import scipy.linalg.lapack
+    fortran = type(scipy.linalg.lapack.dpotrf)
+    seen = []
+    for name, fn in list(vars(gls).items()):
+        if not (isinstance(fn, fortran) or (getattr(fn, "__module__", None)
+                                            or "").startswith("scipy.linalg")):
+            continue
+
+        def wrapped(*args, _fn=fn, _name=name, **kw):
+            arrays = [x for x in (*args, *kw.values())
+                      if isinstance(x, np.ndarray)]
+            assert all(x.ndim == 2 for x in arrays), _name
+            seen.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(gls, name, wrapped)
+    rng = np.random.default_rng(15)
+    p = 16
+    W, _ = _design(rng, p=p)
+    S = np.concatenate([np.stack([_rand_cov(rng, p) for _ in range(4)]),
+                        _mixed_stack(rng, p)])
+    Y = W @ rng.dirichlet([3, 2, 1], len(S)).T + rng.normal(0, 1, (p, len(S)))
+    monkeypatch.setattr(gls, "_WHITEN_BYTES", 4 * p * p * 8)
+    solve_gls(W, Y, S)
+    gls_covariance(W, S)
+    assert {"dpotrf", "dtrtrs"} <= set(seen)
+
+
+def test_whitening_does_not_depend_on_the_memory_layout(floored_calls):
+    # Fortran-ordered and axis-moved stacks whiten like C-ordered ones, on
+    # the Cholesky path, with several matrices per chunk and with one
+    rng = np.random.default_rng(18)
+    p = 12
+    W, _ = _design(rng, p=p)
+    S = np.stack([_rand_cov(rng, p) for _ in range(5)])
+    Y = W @ rng.dirichlet([3, 2, 1], len(S)).T + rng.normal(0, 1, (p, len(S)))
+    est, V = solve_gls(W, Y, S), gls_covariance(W, S)
+    last = np.ascontiguousarray(np.moveaxis(S, 0, -1))     # (p, p, n)
+    for T in (np.asfortranarray(S), np.moveaxis(last, -1, 0)):
+        assert not T.flags.c_contiguous
+        assert_allclose(solve_gls(W, Y, T), est, rtol=0, atol=1e-15)
+        assert_allclose(gls_covariance(W, T), V, rtol=1e-14)
+    one = np.asfortranarray(S[2])
+    assert_allclose(solve_gls(W, Y[:, 2], one), est[2], rtol=0, atol=1e-15)
+    assert_allclose(gls_covariance(W, one), V[2], rtol=1e-14)
+    assert floored_calls == []
+
+
+def _old_run_gls_iterative(W, Y, max_iter):
+    """The iteration as it was written before the fit reused the covariance
+    step's W' Sigma^{-1} W: per pass, (proportions, V / p, Sk)."""
+    n = Y.shape[1]
+    p = W.shape[0]
+    eig = None
+    for t in range(max_iter):
+        if eig is None:
+            est = estimate_proportions(W, Y)
+        else:
+            w, Q = eig
+            rw = 1.0 / np.sqrt(w)
+            QtW = Q.transpose(0, 2, 1) @ W
+            Ww = rw[:, :, None] * QtW
+            yw = rw * np.einsum('mqp,qm->mp', Q, Y)
+            G = Ww.transpose(0, 2, 1) @ Ww
+            a = np.einsum('mpk,mp->mk', Ww, yw)
+            est = np.stack([qp.solve_simplex_normal(G[i], a[i])
+                            for i in range(n)])
+        Sk = cts_covariance_raw_all(est ** 2, Y - W @ est.T)
+        w, Q = np.linalg.eigh(subject_covariance(est, Sk))
+        w = np.maximum(w, 1e-10 * w[:, -1:])
+        eig = (w, Q)
+        QtW = Q.transpose(0, 2, 1) @ W
+        V = gls._gls_cov(QtW.transpose(0, 2, 1) @ (QtW / w[:, :, None]), p)
+    return est, V / p, Sk
+
+
+def _sim_by_type(rng, p, n, K=3):
+    # noise from per-type diagonal covariances: sample i's covariance is
+    # sum_k pi_ik^2 S_k, the model the raw estimates fit
+    W = rng.normal(0, 1, (p, K))
+    P = rng.dirichlet([3, 2, 1], n)
+    Ls = [np.sqrt(rng.uniform(0.5, 2.0, p))[:, None] for _ in range(K)]
+    E = sum(P[:, k] * (Ls[k] * rng.standard_normal((p, n))) for k in range(K))
+    return W, W @ P.T + E
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_iteration_matches_the_inline_loop_where_the_floor_is_inactive(passes):
+    # Many samples per gene and noise from the model: every plug-in subject
+    # covariance is positive definite far above the floor, the whitened
+    # problems are well conditioned, and the reused products must give the
+    # old loop's numbers at a flat rtol.
+    rng = np.random.default_rng(20)
+    W, Y = _sim_by_type(rng, p=6, n=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run_gls_iterative(W, Y, max_iter=passes, tol=1e-300)
+    want = _old_run_gls_iterative(W, Y, passes)
+    w = np.linalg.eigvalsh(subject_covariance(want[0], want[2]))
+    assert (w[:, 0] > 1e-3 * w[:, -1]).all()
+    got = (res.proportions, res.covariances, res.cts_covariances)
+    for g, x in zip(got, want):
+        assert_allclose(g, x, rtol=1e-10, atol=1e-15)
+
+
+def _within(got, want, jig):
+    """Per leading index: |got - want| <= max(1e-10 |want|, 10 |jig - want|),
+    maxima taken over the other axes."""
+    ax = tuple(range(1, want.ndim))
+    tol = np.maximum(1e-10 * np.abs(want).max(axis=ax),
+                     10 * np.abs(jig - want).max(axis=ax))
+    return bool((np.abs(got - want).max(axis=ax) <= tol).all())
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_iteration_matches_the_inline_loop(passes):
+    rng = np.random.default_rng(16)
+    W, P, Y = _sim(rng, n=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run_gls_iterative(W, Y, max_iter=passes, tol=1e-300)
+    assert res.iterations == passes
+    want = _old_run_gls_iterative(W, Y, passes)
+    # The floored plug-in weights make W' Sigma^{-1} W ill-conditioned, so
+    # the old loop itself moves by more than 1e-10 when Y moves by one ulp
+    # (here 2.9e-10 on the third pass's proportions, 4.1e-9 of the largest
+    # entry on the first pass's covariances); ten times that spread widens
+    # the bound where it exceeds 1e-10.
+    ulp = 2.0 ** -52 * np.random.default_rng(17).choice([-1.0, 1.0], Y.shape)
+    jig = _old_run_gls_iterative(W, Y * (1.0 + ulp), passes)
+    got = (res.proportions, res.covariances, res.cts_covariances)
+    for name, g, w, j in zip(("proportions", "covariances", "Sk"), got, want,
+                             jig):
+        assert _within(g, w, j), name

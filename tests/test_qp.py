@@ -286,12 +286,85 @@ def test_matrix_response_errors_name_the_column(monkeypatch):
         solve_equality_ls(W, Y)           # one response only
     calls = []
 
-    def capped(c, a):
+    def capped(c, pi, t):
         calls.append(1)
         if len(calls) == 2:
             raise MaxIterations("active-set change cap exceeded")
         return np.full(3, 1 / 3)
 
     monkeypatch.setattr(qp, "_gi_simplex", capped)
+    # unconstrained optima on the sum-to-one plane but off the simplex, so
+    # both columns go on to the active-set loop
+    Yb = W @ np.array([[2.0, -1.0, 0.0], [0.0, -1.0, 2.0]]).T
     with pytest.raises(MaxIterations, match="^column 1: active-set change"):
-        qp.solve_simplex_ls(W, Y[:, :2])
+        qp.solve_simplex_ls(W, Yb)
+
+
+def test_stacked_normal_equations_equal_one_matrix_solves_bytewise(
+        monkeypatch):
+    looped = []
+    real = qp._gi_simplex
+
+    def counting(*args):
+        looped.append(1)
+        return real(*args)
+    monkeypatch.setattr(qp, "_gi_simplex", counting)
+    rng = np.random.default_rng(12)
+    for K in (2, 3, 6):
+        n = 30
+        W = rng.normal(0, 1, (n, 40, K))
+        P = rng.dirichlet(np.ones(K), n)
+        P[:10] = 0.0
+        P[:10, 0] = 1.0                      # vertices
+        P[10:20] = rng.dirichlet(np.full(K, 5.0), 10)
+        noise = np.repeat([1.5, 0.1, 1.5], 10)[:, None]   # interior optima
+        Y = np.einsum('npk,nk->np', W, P) + noise * rng.normal(0, 1, (n, 40))
+        Y[20:] = rng.normal(0, 3, (10, 40))  # mostly boundary optima
+        G = W.transpose(0, 2, 1) @ W
+        a = np.einsum('npk,np->nk', W, Y)
+        looped.clear()
+        X = qp.solve_simplex_normal(G, a)
+        assert X.shape == (n, K)
+        assert 0 < len(looped) < n           # both phases used
+        for i in range(n):
+            assert np.array_equal(X[i], qp.solve_simplex_normal(G[i], a[i]))
+            assert_allclose(X[i], qp.solve_simplex_ls(W[i], Y[i]), atol=1e-12)
+    assert qp.solve_simplex_normal(G[:0], a[:0]).shape == (0, 6)
+
+
+def test_stacked_normal_equations_errors_name_the_matrix():
+    rng = np.random.default_rng(13)
+    B = rng.normal(0, 1, (4, 10, 3))
+    G = B.transpose(0, 2, 1) @ B
+    a = rng.normal(0, 1, (4, 3))
+    Gs = G.copy()
+    Gs[2] = np.outer(B[2, 0], B[2, 0])       # rank one
+    with pytest.raises(SingularDesign,
+                       match="^matrix 2: moment matrix numerically singular"):
+        qp.solve_simplex_normal(Gs, a)
+    with pytest.raises(SingularDesign, match="^moment matrix numerically"):
+        qp.solve_simplex_normal(Gs[2], a[2])
+    an = a.copy()
+    an[3, 1] = np.nan
+    with pytest.raises(NonFinite, match="^matrix 3: normal equations"):
+        qp.solve_simplex_normal(G, an)
+    with pytest.raises(DimensionMismatch):
+        qp.solve_simplex_normal(G, a[:3])
+    with pytest.raises(DimensionMismatch):
+        qp.solve_simplex_normal(G[0], a)
+
+
+def test_ill_conditioned_vertex_does_not_cycle():
+    # A whitened GLS moment matrix (condition 4e9) whose optimum is the
+    # vertex e_3. Rounding in the step directions used to push an entry
+    # already pinned at zero below the exit test; the loop took it in again
+    # and cycled until the change cap.
+    G = np.array([[5.7706706550569124e+09, 3.3099320836089258e+09,
+                   -1.0969762408333862e+10],
+                  [3.3099320836089258e+09, 1.8985055886766157e+09,
+                   -6.2920188667261629e+09],
+                  [-1.0969762408333862e+10, -6.2920188667261629e+09,
+                   2.0852981350324257e+10]])
+    a = np.array([-1.167748705421541e+10, -6.697954437184135e+09,
+                  2.219833125013343e+10])
+    assert np.array_equal(qp.solve_simplex_normal(G, a), [0.0, 0.0, 1.0])
