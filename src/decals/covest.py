@@ -38,6 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import qp
 from .deconv import (BOUNDARY_TOL, constraint_projector,
@@ -110,11 +111,19 @@ def _moments(Z, weights) -> np.ndarray:
 
 
 def cts_covariance_raw_all(H_hat, Z) -> np.ndarray:
-    """All gene pairs at once: (K, p, p) array reusing one factorization."""
+    """All gene pairs at once: (K, p, p) array reusing one factorization.
+
+    The moments come from scipy's BLAS, like the GLS whitening they feed:
+    numpy and scipy each bundle an OpenBLAS with its own thread pool, and
+    one pool's spinning threads slowed the other's threaded products."""
     H = np.asarray(H_hat, dtype=float)
     Z = np.asarray(Z, dtype=float)
     C = np.linalg.solve(_moment_matrix(H), H.T)          # (K, n)
-    return _moments(Z, C.T)
+    out = np.empty((len(C), len(Z), len(Z)))
+    for l, c in enumerate(C):
+        S = dgemm(1.0, (Z * c).T, Z.T, trans_a=1)         # (Z * c) Z'
+        out[l] = 0.5 * (S + S.T)
+    return out
 
 
 def _bias_arrays(P, V, p):

@@ -10,18 +10,21 @@ bounds the largest eigenvalue, that proves the smallest eigenvalue lies above
 is each Sigma_i = L_i L_i' factored and the chunk whitened by the L_i^{-1}.
 Any other chunk is whitened by the symmetric inverse square root with
 eigenvalues floored at 1e-10 of the largest, which keeps near-singular and
-even indefinite inputs runnable. Both give the same whitened problem wherever
-the floor is inactive. The fit then solves every sample's whitened normal
-equations in one stacked call of `qp.solve_simplex_normal`.
+even indefinite inputs runnable: diag(max(w, 1e-10 max w))^{-1/2} Z' U', from
+the tridiagonal form Sigma_i = U T U', T = Z diag(w) Z', without forming the
+eigenvectors U Z (Golub & Van Loan, Matrix Computations, 8.3). Both give the
+same whitened problem wherever the floor is inactive. The fit then solves
+every sample's whitened normal equations in one stacked call of
+`qp.solve_simplex_normal`.
 
 This is a comparison arm. The iterative variant feeds the raw (uncorrected,
-unthresholded) covariance estimates back into the whitening step; those raw
-estimates are routinely indefinite at moderate sample sizes, so it always
-takes the floored eigendecomposition, and each pass's fit reuses the
-W' Sigma_i^{-1} W that the previous pass's covariance step formed. The floor
-inflates the inverse, and the reported uncertainty collapses. That failure
-mode is in scope: the module exists to quantify how much worse the whitened
-estimator behaves when its weight matrix must be estimated.
+unthresholded) covariance estimates back into the same whitening, a chunk at
+a time, and keeps only the whitened normal equations for the next pass's fit;
+those raw estimates are routinely indefinite at moderate sample sizes, so
+most chunks take the floor. The floor inflates the inverse, and the reported
+uncertainty collapses. That failure mode is in scope: the module exists to
+quantify how much worse the whitened estimator behaves when its weight
+matrix must be estimated.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from numpy.linalg import LinAlgError
+from scipy.linalg import lapack
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import (dormqr, dpotrf, dsbevd, dsytrd, dsytrd_lwork,
+                                 dtrtrs)
 
 from . import qp
 from .covest import DecalsResult, cts_covariance_raw_all, subject_covariance
@@ -39,86 +46,116 @@ from .errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
 
 # Eigenvalues below this fraction of the largest are floored before inversion.
 _EIG_FLOOR = 1e-10
-# Bytes of (chunk, p, p) factors whitened at a time by solve_gls/gls_covariance.
-# A chunk's few buffers of this size should stay in cache: on desk replicates
-# (p=150, one core, one BLAS thread) the gls_oracle arm took 146-158 ms at
-# 256 KiB to 2 MiB and 213 ms at 4 MiB.
+# Bytes of (chunk, p, p) subject covariances whitened at a time. A chunk is
+# the only stack whitening holds, and its buffers stay in cache: on desk
+# replicates (p=150, one core, one BLAS thread) the gls_oracle arm took
+# 146-158 ms at 256 KiB to 2 MiB and 213 ms at 4 MiB.
 _WHITEN_BYTES = 2 ** 20
 
 
-def _chunks(n, p, nbytes=2 ** 27):
-    # keep the (chunk, p, p) workspace around nbytes (default a quarter GB
-    # for an eigendecomposition's input and eigenvectors)
-    size = max(1, int(nbytes / (p * p * 8)))
-    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+def _lapack(out, name, index):
+    """The outputs of a LAPACK wrapper, less its info, which must be zero."""
+    *values, info = out
+    if info:
+        raise LinAlgError(f"matrix {index}: LAPACK {name} returned {info}")
+    return values
 
 
-def _floored_eig(S, first=0):
-    """Eigenpairs (w, Q) of a stack of symmetric matrices S (m, p, p), each
-    matrix's eigenvalues floored at 1e-10 of its largest. An error names the
-    failing matrix by its index in the stack plus `first`."""
-    w, Q = np.linalg.eigh(S)
-    top = w[:, -1]
-    bad = top <= 0.0
-    if bad.any():
-        raise SingularSigma(f"matrix {first + int(np.argmax(bad))}: subject "
-                            "covariance has no positive eigenvalue")
-    return np.maximum(w, _EIG_FLOOR * top[:, None]), Q
+def _dstevd_band(d, e):
+    """dstevd's (w, Z, info) from dsbevd, which runs the same divide and
+    conquer on T stored as a band of width one, to the same bytes."""
+    return dsbevd(np.array([d, np.append(e, 0.0)[:len(d)]]), lower=1)
 
 
-def _cholesky_each(S) -> bool:
-    """Factor each symmetric S[i] of a C-ordered stack in place; False at the
-    first matrix that has no Cholesky factor. LAPACK factors the
-    Fortran-ordered S[i].T, equal to S[i], so the lower factor L_i lands in
-    the lower triangle of S[i].T. On any other layout LAPACK would factor a
-    copy and leave S as it was."""
-    if not S.flags.c_contiguous:
-        raise ValueError("_cholesky_each factors C-ordered stacks only")
-    for Si in S:
-        if dpotrf(Si.T, lower=1, clean=0, overwrite_a=1)[1]:
+# dstevd is wrapped only by scipy releases newer than the allowed 1.10
+dstevd = getattr(lapack, "dstevd", _dstevd_band)
+
+
+def _cholesky_whiten(S, X) -> bool:
+    """Premultiply each Fortran-ordered X[i] (p, c) in place by L_i^{-1},
+    S[i] = L_i L_i'; False at the first matrix that fails the gate (module
+    docstring) or has no Cholesky factor, with the X[i] before it whitened."""
+    eye = np.eye(S.shape[1])
+    for Si, Xi in zip(S, X):
+        # C-ordered, so LAPACK works in place on Sc.T, which equals Sc
+        Sc = 0.5 * np.add(Si, Si.T, order="C")
+        tau = _EIG_FLOOR * np.abs(Sc).sum(axis=1).max()
+        if (dpotrf((Sc - tau * eye).T, lower=1, clean=0, overwrite_a=1)[1]
+                or dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)[1]):
             return False
+        dtrtrs(Sc.T, Xi, lower=1, overwrite_b=1)
     return True
 
 
-def _whiten(Wv, S, Y=None):
-    """Per chunk of samples, (sl, X): the slice sl of the stack and W
-    (m, p, K), or [W | y_i] (m, p, K + 1) when Y is given, premultiplied by
-    each sample's whitening matrix (module docstring)."""
+def _floor_whiten(S, X, first):
+    """Premultiply each Fortran-ordered X[i] (p, c) in place by the floored
+    inverse square root of the symmetric S[i], without forming its
+    eigenvectors Q = U Z: S[i] = U T U' (dsytrd), T = Z diag(w) Z' (dstevd),
+    and X[i] becomes diag(max(w, 1e-10 max w))^{-1/2} Z' U' X[i]. An error
+    names the failing matrix by its index in the stack plus `first`."""
+    p = S.shape[1]
+    lwork = int(dsytrd_lwork(p, lower=1)[0])
+    for i, (Si, Xi) in enumerate(zip(S, X), first):
+        Sc = 0.5 * np.add(Si, Si.T, order="C")     # as in _cholesky_whiten
+        c, d, e, tau = _lapack(dsytrd(Sc.T, lower=1, lwork=lwork,
+                                      overwrite_a=1), "dsytrd", i)
+        if p > 1:             # U = H_1 ... H_{p-1} acts on rows 2..p only
+            Xi[1:] = _lapack(dormqr("L", "T", c[1:, :-1], tau, Xi[1:],
+                                    Xi.shape[1]), "dormqr", i)[0]
+        w, Z = _lapack(dstevd(d, e if p > 1 else np.zeros(1)), "dstevd", i)
+        if w[-1] <= 0.0:
+            raise SingularSigma(f"matrix {i}: subject covariance has no "
+                                "positive eigenvalue")
+        r = 1.0 / np.sqrt(np.maximum(w, _EIG_FLOOR * w[-1]))
+        Xi[:] = r[:, None] * dgemm(1.0, Z, Xi, trans_a=1)
+
+
+def _design(Wv, Yc, m):
+    """m copies of W (p, K), or of [W | y_i] given the responses Yc (p, m),
+    each Fortran-ordered so that LAPACK works on it in place."""
     p, K = Wv.shape
-    c = K if Y is None else K + 1
-    for sl in _chunks(len(S), p, _WHITEN_BYTES):
-        m = sl.stop - sl.start
-        # each X[i] is Fortran-ordered, so LAPACK solves it in place
-        X = np.empty((m, c, p)).transpose(0, 2, 1)
-        X[:, :, :K] = Wv
+    X = np.empty((m, K + (Yc is not None), p)).transpose(0, 2, 1)
+    X[:, :, :K] = Wv
+    if Yc is not None:
+        X[:, :, K] = Yc.T
+    return X
+
+
+def _whiten_chunk(Wv, S, Yc, first):
+    """`_design(Wv, Yc, m)` premultiplied by the whitening matrix of each of
+    the m subject covariances S[i] (module docstring). Errors name S[i] as
+    matrix first + i."""
+    bad = ~np.isfinite(S).all(axis=(1, 2))
+    if bad.any():
+        raise NonFinite(f"matrix {first + int(np.argmax(bad))}: "
+                        "subject covariance contains NaN/Inf")
+    # LAPACK and BLAS one matrix at a time (scipy batches stacks only from
+    # 1.15 on), all of it scipy's: numpy and scipy each bundle an OpenBLAS
+    # with its own thread pool, and alternating made each wait on the other.
+    X = _design(Wv, Yc, len(S))
+    if not _cholesky_whiten(S, X):
+        X = _design(Wv, Yc, len(S))      # the chunk takes the floor as a whole
+        _floor_whiten(S, X, first)
+    return X
+
+
+def _normal_equations(Wv, sigma, n, Y=None):
+    """The whitened normal equations of n samples: A = W' Sigma_i^{-1} W
+    (n, K, K) and, when Y (p, n) is given, a = W' Sigma_i^{-1} y_i (n, K),
+    one chunk at a time; sigma(sl) gives the samples sl's covariances."""
+    p, K = Wv.shape
+    A = np.empty((n, K, K))
+    a = np.empty((n, K))
+    size = max(1, _WHITEN_BYTES // (p * p * 8))
+    for start in range(0, n, size):
+        sl = slice(start, min(start + size, n))
+        X = _whiten_chunk(Wv, sigma(sl), None if Y is None else Y[:, sl],
+                          start)
+        M = X.transpose(0, 2, 1) @ X
+        A[sl] = M[:, :K, :K]
         if Y is not None:
-            X[:, :, K] = Y[:, sl].T
-        # C-ordered whatever the layout of S, so that each Sc[i].T is
-        # Fortran-ordered and factored in place
-        Sc = np.add(S[sl], S[sl].transpose(0, 2, 1), order="C")
-        Sc *= 0.5
-        bad = ~np.isfinite(Sc).all(axis=(1, 2))
-        if bad.any():
-            raise NonFinite(f"matrix {sl.start + int(np.argmax(bad))}: "
-                            "subject covariance contains NaN/Inf")
-        # LAPACK one matrix at a time (scipy batches cholesky and
-        # solve_triangular over a stack only from 1.15 on), all of it from
-        # scipy's: numpy and scipy each bundle an OpenBLAS with its own thread
-        # pool, and alternating between the two made each wait on the other.
-        # With 2 BLAS threads on 2 vCPUs the arm is still about 1.3x slower
-        # than with 1: OpenBLAS threads a p=150 dpotrf at a loss.
-        tau = _EIG_FLOOR * np.abs(Sc).sum(axis=2).max(axis=1)
-        gate = Sc.copy()
-        gate.reshape(m, -1)[:, ::p + 1] -= tau[:, None]
-        if _cholesky_each(gate) and _cholesky_each(Sc):
-            for Li, Xi in zip(Sc, X):
-                dtrtrs(Li.T, Xi, lower=1, overwrite_b=1)
-            yield sl, X
-            continue
-        # the gate failed, or a failed factorization overwrote part of Sc
-        Sc = 0.5 * (S[sl] + S[sl].transpose(0, 2, 1))
-        w, Q = _floored_eig(Sc, sl.start)
-        yield sl, (1.0 / np.sqrt(w))[:, :, None] * (Q.transpose(0, 2, 1) @ X)
+            a[sl] = M[:, :K, K]
+    return A, a
 
 
 def _sigma_stack(Wv, Sigma):
@@ -140,15 +177,11 @@ def solve_gls(W, y, Sigma) -> np.ndarray:
     Wv = _values(W)
     S, single = _sigma_stack(Wv, Sigma)
     Y = np.asarray(y, dtype=float)
-    p, K = Wv.shape
+    p = Wv.shape[0]
     if Y.shape != ((p,) if single else (p, len(S))):
         raise DimensionMismatch(f"responses {Y.shape} do not match "
                                 f"{len(S)} subject covariances of size {p}")
-    A = np.empty((len(S), K, K))
-    a = np.empty((len(S), K))
-    for sl, X in _whiten(Wv, S, Y.reshape(p, -1)):
-        M = X.transpose(0, 2, 1) @ X
-        A[sl], a[sl] = M[:, :K, :K], M[:, :K, K]
+    A, a = _normal_equations(Wv, S.__getitem__, len(S), Y.reshape(p, -1))
     return (qp.solve_simplex_normal(A[0], a[0]) if single
             else qp.solve_simplex_normal(A, a))
 
@@ -171,13 +204,10 @@ def gls_covariance(W, Sigma) -> np.ndarray:
     """
     Wv = _values(W)
     S, single = _sigma_stack(Wv, Sigma)
-    p, K = Wv.shape
-    A = np.empty((len(S), K, K))
-    for sl, X in _whiten(Wv, S):
-        A[sl] = X.transpose(0, 2, 1) @ X
+    A = _normal_equations(Wv, S.__getitem__, len(S))[0]
     qp.check_pd(A[0] if single else A, 1e-12, SingularDesign,
                 "whitened design W' Sigma^{-1} W is singular")
-    V = _gls_cov(A, p)
+    V = _gls_cov(A, Wv.shape[0])
     return V[0] if single else V
 
 
@@ -191,7 +221,7 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
     rebuilds per-sample covariances V. Stops when V stabilizes in relative
     sup-norm or at max_iter (warning; last iterate returned)."""
     Wv, Yv = _values(W), _values(Y)
-    p, K = Wv.shape
+    p = Wv.shape[0]
     n = Yv.shape[1]
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -199,41 +229,25 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
         raise ValueError(f"tol must be > 0, got {tol}")
     run_warnings: list[str] = []
 
-    V = np.empty((n, K, K))
-    A = np.empty((n, K, K))                  # last pass's W' Sigma_i^{-1} W
-    fit = None                               # per chunk: sl, Q, W' Sigma^{-1} Q
+    A = a = None  # last pass's W' Sigma_i^{-1} W, W' Sigma_i^{-1} y_i
     Vprev = None
     converged = False
     iterations = 0
-    Sk = np.zeros((K, p, p))
     for t in range(max_iter):
         iterations = t + 1
-        if fit is None:
-            est = estimate_proportions(Wv, Yv)
-        else:
-            a = np.empty((n, K))
-            for sl, Q, B in fit:
-                Qty = Q.transpose(0, 2, 1) @ Yv[:, sl].T[:, :, None]
-                a[sl] = np.einsum('mkp,mp->mk', B, Qty[:, :, 0])
-            est = qp.solve_simplex_normal(A, a)
-        Z = Yv - Wv @ est.T
-        H = est ** 2
-        Sk = cts_covariance_raw_all(H, Z)
-        fit = []
-        for sl in _chunks(n, p):
-            w, Q = _floored_eig(subject_covariance(est[sl], Sk), sl.start)
-            QtW = Q.transpose(0, 2, 1) @ Wv
-            QtWw = QtW / w[:, :, None]
-            A[sl] = QtW.transpose(0, 2, 1) @ QtWw
-            V[sl] = _gls_cov(A[sl], p)
-            fit.append((sl, Q, QtWw.transpose(0, 2, 1)))
+        est = (estimate_proportions(Wv, Yv) if A is None
+               else qp.solve_simplex_normal(A, a))
+        Sk = cts_covariance_raw_all(est ** 2, Yv - Wv @ est.T)
+        A, a = _normal_equations(
+            Wv, lambda sl: subject_covariance(est[sl], Sk), n, Yv)
+        V = _gls_cov(A, p)
         if Vprev is not None:
             delta = (np.abs(V - Vprev).max(axis=(1, 2))
                      / (1.0 + np.abs(Vprev).max(axis=(1, 2)))).max()
             if delta < tol:
                 converged = True
                 break
-        Vprev = V.copy()
+        Vprev = V
     if not converged and max_iter > 1:
         msg = f"no convergence after {iterations} iterations"
         run_warnings.append(msg)

@@ -197,10 +197,13 @@ def test_criterion_08_solver_matches_oracles():
             worst_int = max(worst_int, float(
                 np.abs(solve_simplex_ls(W, y) - eq).max()))
     ok = bool(worst <= 1e-6 and interior >= 20 and worst_int <= 1e-8)
+    # the deviations are rounding noise, whose digits move with any change
+    # to the solver's arithmetic, so the line reports them against their
+    # bounds
     _record(8, "active-set solver matches oracles", ok,
-            f"200 instances: max dev vs projected gradient {worst:.1e} "
-            f"<= 1e-6; {interior} interior cases vs equality solve "
-            f"{worst_int:.1e} <= 1e-8")
+            f"200 instances: max dev vs projected gradient <= 1e-6 "
+            f"{worst <= 1e-6}; {interior} interior cases vs equality solve "
+            f"<= 1e-8 {worst_int <= 1e-8}")
 
 
 def test_criterion_09_structural_invariants():
