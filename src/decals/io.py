@@ -3,12 +3,15 @@
 Matrices come in as TSV with a mandatory header row. Results go out as CSV
 and JSON with floats in scientific notation: 17 significant digits in JSON,
 15 in CSV, enough to round-trip IEEE doubles. Every write is atomic (temp
-file in the target directory, then rename), and the CSV writers return the
-text they wrote, which is what draw manifests hash.
+file in the target directory, then rename), and the CSV writers return what
+they wrote; draw manifests hash those bytes.
 
-Numeric tables go a column at a time: one % over a repeated row template
-renders a table (or a float array in JSON), and the p-value reader checks
-whole columns, rereading the file row by row only to name a failing line.
+Numeric CSV tables are rendered by a numpy kernel that writes the bytes
+format(v, ".14e") would into fixed-width cells, a block of rows at a time,
+and hands any row it cannot render exactly to format itself. JSON float
+arrays go through one % over a template per matrix. The p-value reader
+checks whole columns a block of rows at a time, rereading the file row by
+row only to name a failing line.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import os
 import tempfile
 from io import StringIO
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +35,7 @@ CSV_FMT = ".14e"         # 15 significant digits
 
 PVALUE_HEADER = ["draw_index", "unit_id", "cell_type", "p_value"]
 CALLS_HEADER = ["unit_id", "cell_type", "hit_count", "cutoff", "called"]
+_PVALUE_BLOCK = 1 << 16       # p-value records held as strings at a time
 
 
 def fmt_csv(x) -> str:
@@ -79,18 +84,22 @@ def _json_floats(a: np.ndarray) -> str:
     return text
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
     path = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                prefix="." + os.path.basename(path) + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def write_json(path: str, obj) -> None:
@@ -111,21 +120,107 @@ def write_csv_rows(path: str, rows) -> str:
 
 
 def _csv_fields(values) -> list:
-    """Each value as csv.writer writes it in a row of two or more fields."""
-    return [_csv_text([[v, ""]])[:-2] for v in values]
+    """Each value as csv.writer writes it in a row of two or more fields,
+    UTF-8 encoded."""
+    return [_csv_text([[v, ""]])[:-2].encode("utf-8") for v in values]
 
 
-def _write_numeric_csv(path: str, header, labels, values) -> str:
+# The CSV kernel. A positive x with e = floor(log10 x) in [-8, 14] scales to
+# x * 10**(14 - e) in [1e14, 1e15) by an exact double (10**22 is the largest
+# exact power of ten). A Dekker two-product holds that product exactly as
+# hi + lo, so its rounding to the 15-digit mantissa is decided exactly.
+_SPLIT = 134217729.0                     # 2**27 + 1: Veltkamp's split, no FMA
+_BLOCK = 1 << 13                         # cells rendered per block: cache-sized
+
+
+def _split(a):
+    """a as hi + lo, each half with at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+# ASCII tables, gathered into the cell layout ",d.dd" "dddd" "dddd" "dddd" "e+XX"
+_DIGITS4 = np.array([b"%04d" % i for i in range(10000)]).view(np.uint32)
+_LEAD = np.array([b",%d.%02d" % divmod(i, 100) for i in range(1000)])
+_EXP = np.array([b"e%+03d" % e for e in range(-8, 15)]).view(np.uint32)
+_CELL = np.dtype({"names": ["lead", "g1", "g2", "g3", "exp"],
+                  "formats": ["S5", "u4", "u4", "u4", "u4"],
+                  "offsets": [0, 5, 9, 13, 17], "itemsize": 21})
+
+
+def _mantissas(x):
+    """(fast, N, e) for a 1-d float array: where fast, x renders as N's 15
+    digits times 10**(e - 14), exactly as format(x, CSV_FMT) rounds it.
+
+    Not fast: x < 0 or -0.0, NaN, inf, x < 1e-8 or x >= 1e15, a mantissa
+    that rounds up to the next decade, an exponent log10 misjudged, and an
+    exact tie (format breaks it to even). +0.0 is fast, as N = e = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(x))
+    fast = (x > 0) & (e >= -8) & (e <= 14)
+    q = np.where(fast, 14 - e, 14).astype(np.intp)
+    a = np.where(fast, x, 0.0)
+    hi = a * _POW10[q]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[q], _POW10_LO[q]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    top = np.floor(hi)
+    d = (hi - top - 0.5) + lo            # the sign of hi + lo - (top + 0.5)
+    N = top + (d > 0)
+    # hi >= 1e14 keeps hi + lo within 2**-7 of [1e14, 1e15): either way the
+    # 15 digits read N (a product just under 1e14 rounds up to the decade)
+    fast &= (d != 0) & (N < 1e15) & (hi >= 1e14)
+    fast |= (x == 0) & ~np.signbit(x)
+    return fast, np.where(fast, N, 0).astype(np.int64), 14 - q
+
+
+def _slow_row(values) -> bytes:
+    """A row the kernel leaves, rendered by format itself: each cell led by
+    a comma, then a newline."""
+    return "".join("," + format(v, CSV_FMT) for v in values.tolist()
+                   ).encode("ascii") + b"\n"
+
+
+def _csv_rows(values) -> list:
+    """Each row of the (m, C) float array as bytes: each v as fmt_csv writes
+    it, led by a comma, then a newline."""
+    m, C = values.shape
+    fast, N, e = _mantissas(values.ravel())
+    buf = np.empty((m, 21 * C + 1), np.uint8)
+    buf[:, -1] = ord("\n")
+    cells = buf[:, :-1].view(_CELL)
+    g0, r = np.divmod(N, 10 ** 12)
+    g1, r = np.divmod(r, 10 ** 8)
+    g2, g3 = np.divmod(r, 10 ** 4)
+    for name, col in (("lead", _LEAD[g0]), ("g1", _DIGITS4[g1]),
+                      ("g2", _DIGITS4[g2]), ("g3", _DIGITS4[g3]),
+                      ("exp", _EXP[e + 8])):
+        cells[name] = col.reshape(m, C)
+    rows = buf.view(f"S{buf.shape[1]}").ravel().tolist()
+    for i in np.flatnonzero(~fast.reshape(m, C).all(1)).tolist():
+        rows[i] = _slow_row(values[i])
+    return rows
+
+
+def _write_numeric_csv(path: str, header, labels, values) -> bytes:
     """The header row, then "label,v_1,...,v_C" per row of the (rows, C)
-    values with each v as fmt_csv writes it; labels are CSV text."""
+    values with each v as fmt_csv writes it; labels are UTF-8 CSV text.
+    Returns the bytes written."""
     values = np.asarray(values, dtype=float)
-    n, C = values.shape
-    cells = np.empty((n, C + 1), dtype=object)
-    cells[:, 0], cells[:, 1:] = labels, values
-    row = "%s" + f",%{CSV_FMT}" * C + "\n"
-    text = _csv_text([header]) + (row * n) % tuple(cells.ravel().tolist())
-    atomic_write_text(path, text)
-    return text
+    step = max(1, _BLOCK // max(1, values.shape[1]))
+    parts = [_csv_text([header]).encode("utf-8")]
+    for s in range(0, len(values), step):
+        rows = _csv_rows(values[s:s + step])
+        both = [b""] * (2 * len(rows))
+        both[::2] = labels[s:s + step]
+        both[1::2] = rows
+        parts.append(b"".join(both))
+    data = b"".join(parts)
+    _atomic_write(path, data)
+    return data
 
 
 def _records(path: str, delimiter: str):
@@ -254,7 +349,7 @@ def load_estimates(result_dir: str):
 def write_intervals_csv(path: str, sample_ids, cell_types, est, lo, hi) -> None:
     """One row per (sample, cell type), sample-major."""
     cts = _csv_fields(map(str, cell_types))
-    labels = [f"{sid},{ct}" for sid in _csv_fields(map(str, sample_ids))
+    labels = [sid + b"," + ct for sid in _csv_fields(map(str, sample_ids))
               for ct in cts]
     values = np.stack([np.asarray(a, dtype=float) for a in (est, lo, hi)], -1)
     _write_numeric_csv(path, ["sample_id", "cell_type", "estimate", "lower",
@@ -266,7 +361,7 @@ def write_coverage_csv(path: str, report) -> None:
     mean_width."""
     kept = ~np.isnan(report.per_replicate)       # (replicates, K)
     method = _csv_fields([report.method])[0]
-    labels = [f"{method},{k},{rep}" for (_, rep), row in
+    labels = [method + f",{k},{rep}".encode("utf-8") for (_, rep), row in
               zip(report.replicate_seeds, kept) for k in np.flatnonzero(row)]
     values = np.stack([report.per_replicate[kept],
                        report.per_replicate_width[kept]], -1)
@@ -286,10 +381,9 @@ def write_draws(out_dir: str, draw_set) -> str:
     files = []
     for m in range(M):
         name = f"draw_{m:0{width}d}.csv"
-        text = _write_numeric_csv(os.path.join(out_dir, name), header, ids,
+        data = _write_numeric_csv(os.path.join(out_dir, name), header, ids,
                                   draw_set.draws[m])
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        files.append({"name": name, "sha256": digest})
+        files.append({"name": name, "sha256": hashlib.sha256(data).hexdigest()})
     manifest = {
         "M": M,
         "seed": draw_set.seed,
@@ -338,35 +432,49 @@ def _pvalue_error(path: str) -> ParseError:
                               f"{unit!r}, cell type {ct!r}")
 
 
+def _pvalue_columns(path: str, idx, pv, kid):
+    """The (draw index, p-value, hypothesis id) arrays of a block of rows."""
+    n = len(pv)
+    try:
+        return (np.fromiter(map(int, idx), np.int64, n),
+                np.fromiter(map(float, pv), float, n),
+                np.fromiter(kid, np.intp, n))
+    except (ValueError, OverflowError):   # beyond int64 is no valid index
+        raise _pvalue_error(path) from None
+
+
 def read_pvalues_csv(path: str):
     """CSV with columns draw_index, unit_id, cell_type, p_value.
 
     Returns {(unit_id, cell_type): p-value array ordered by draw_index},
     keys in order of first appearance. Each hypothesis's draw indices must
     be exactly 0..M-1, with M free to differ between hypotheses. An empty
-    file yields an empty mapping."""
-    keys, kid, idx, pv = {}, [], [], []
+    file yields an empty mapping. Fields become arrays a block of rows at a
+    time, so no string copy of the whole file is held."""
+    keys, blocks, kid, idx, pv = {}, [], [], [], []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, PVALUE_HEADER) != PVALUE_HEADER:  # empty: no rows
                 raise _pvalue_error(path)
-            for row in reader:
-                if len(row) == 4:
-                    idx.append(row[0])
-                    pv.append(row[3])
-                    kid.append(keys.setdefault((row[1], row[2]), len(keys)))
-                elif row:
-                    raise _pvalue_error(path)
+            while True:
+                start = reader.line_num
+                for row in islice(reader, _PVALUE_BLOCK):
+                    if len(row) == 4:
+                        idx.append(row[0])
+                        pv.append(row[3])
+                        kid.append(keys.setdefault((row[1], row[2]),
+                                                   len(keys)))
+                    elif row:
+                        raise _pvalue_error(path)
+                blocks.append(_pvalue_columns(path, idx, pv, kid))
+                kid, idx, pv = [], [], []
+                if reader.line_num == start:      # no record was left
+                    break
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
+    idx, pv, kid = (np.concatenate(c) for c in zip(*blocks))
     n = len(pv)
-    try:
-        pv = np.fromiter(map(float, pv), float, n)
-        idx = np.fromiter(map(int, idx), np.int64, n)
-    except (ValueError, OverflowError):   # beyond int64 is no valid index
-        raise _pvalue_error(path) from None
-    kid = np.fromiter(kid, np.intp, n)
     # a valid hypothesis has distinct indices, so p-values never break a tie
     # that matters; sorting by them as well costs 20x the time
     order = np.lexsort((idx, kid))

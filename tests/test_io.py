@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from decals import io
 from decals.downstream import CallDecision, ProportionDrawSet
 from decals.errors import ParseError
 from decals.io import (
@@ -491,17 +492,93 @@ def test_write_json_float_arrays_match_oracle(tmp_path):
     assert path.read_text() == want
 
 
-@pytest.mark.parametrize("M", [1, 3])
-def test_write_draws_matches_oracle(tmp_path, M):
-    draws = np.stack([_odd_matrix(len(ODD_IDS), len(ODD_TYPES), m)
-                      for m in range(M)])
-    ds = ProportionDrawSet(draws, ODD_IDS, ODD_TYPES, seed=5)
-    out = tmp_path / "draws"
+def _assert_draws_match_oracle(out, ds):
     write_draws(str(out), ds)
     want = _oracle_draws(ds)
     assert sorted(os.listdir(out)) == sorted(want)
     for name, text in want.items():
         assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_write_draws_matches_oracle(tmp_path, M):
+    draws = np.stack([_odd_matrix(len(ODD_IDS), len(ODD_TYPES), m)
+                      for m in range(M)])
+    _assert_draws_match_oracle(tmp_path / "draws",
+                               ProportionDrawSet(draws, ODD_IDS, ODD_TYPES,
+                                                 seed=5))
+
+
+def _kernel_ties(rng):
+    """Doubles whose 16th significant digit is an exact 5: format breaks
+    the tie to even."""
+    ties = [rng.integers(10 ** e, 10 ** (e + 1), 64) + frac
+            for e, frac in ((14, 0.5), (13, 0.25), (13, 0.75), (12, 0.125),
+                            (12, 0.625))]
+    return np.concatenate(ties + [[100000000000000.5, 100000000000001.5,
+                                   999999999999999.5]])
+
+
+def test_csv_kernel_matches_format():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64, 1 << 20, dtype=np.uint64).view(float)
+    assert ((np.abs(bits) < np.finfo(float).tiny) & (bits != 0)).any()
+    spread = 10.0 ** rng.uniform(-9.0, 16.0, 1 << 18)
+    powers = np.array([float(f"1e{k}") for k in range(-9, 16)])
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    ties = _kernel_ties(rng)
+    edges = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 9.999999999999999e-01,
+             1e-8, np.nextafter(1e-8, 0.0), np.nextafter(1e-8, 1.0),
+             9.99999999999999e-09, 5e-324, -1.0, -1e-5]
+    x = np.concatenate([bits, spread, powers, below, above,
+                        np.nextafter(below, 0.0), np.nextafter(above, np.inf),
+                        ties, edges])
+    fast = np.concatenate([io._mantissas(c)[0]
+                           for c in np.array_split(x, 64)])
+    assert fast.sum() > 250_000        # the spread values take the fast path
+    assert not io._mantissas(ties)[0].any()
+    # every value the kernel renders itself; of the random bit patterns it
+    # hands to format, a sample (their rows are format's own output)
+    keep = fast.copy()
+    keep[:bits.size] |= rng.random(bits.size) < 1 / 64
+    keep[bits.size:] = True
+    for chunk in np.array_split(x[keep], 64):
+        rows = io._csv_rows(chunk.reshape(-1, 1))
+        want = [("," + format(v, ".14e") + "\n").encode()
+                for v in chunk.tolist()]
+        bad = [(v, got, w) for v, got, w in zip(chunk.tolist(), rows, want)
+               if got != w]
+        assert not bad, bad[:5]
+    assert io._csv_rows(np.array([[9.999999999999999e-01, 0.0]])) == \
+        [b",1.00000000000000e+00,0.00000000000000e+00\n"]
+
+
+def test_csv_kernel_renders_draws_without_fallback(tmp_path, monkeypatch):
+    # a slower fallback would show only as time: make it fail instead
+    rng = np.random.default_rng(3)
+    draws = rng.dirichlet([0.8, 1.0, 2.0], (2, 500))
+    draws[:, ::7, 1] = 0.0
+    draws[:, 5] = [0.0, 0.0, 1.0]
+    assert draws[draws > 0].min() >= 1e-8
+    ds = ProportionDrawSet(draws, [f"s{i}" for i in range(500)],
+                           ODD_TYPES, seed=2)
+
+    def no_fallback(values):
+        raise AssertionError(f"fallback on {values!r}")
+
+    monkeypatch.setattr(io, "_slow_row", no_fallback)
+    _assert_draws_match_oracle(tmp_path / "draws", ds)
+
+
+def test_write_draws_matches_oracle_across_blocks(tmp_path):
+    n = (1 << 14) + 3                   # several kernel blocks per file
+    rng = np.random.default_rng(4)
+    draws = rng.dirichlet([0.5, 1.0, 2.0], (2, n))
+    draws[:, ::1000] = _odd_matrix(2 * len(draws[0, ::1000]), 3, 8
+                                   ).reshape(2, -1, 3)
+    ids = [f"{ODD_IDS[i % len(ODD_IDS)]}{i}" for i in range(n)]
+    _assert_draws_match_oracle(tmp_path / "draws",
+                               ProportionDrawSet(draws, ids, ODD_TYPES, seed=9))
 
 
 def _pv_file(tmp_path, lines, name="pv.csv", eol="\n"):
@@ -610,3 +687,19 @@ def test_pvalues_reader_error_lines_count_records(tmp_path):
         with pytest.raises(ParseError) as got:
             read_pvalues_csv(path)
         assert str(got.value) == str(want.value)
+
+
+def test_pvalues_reader_blocks_match_oracle(tmp_path, monkeypatch):
+    # two records a block: every seam between blocks falls inside the files
+    monkeypatch.setattr(io, "_PVALUE_BLOCK", 2)
+    lines = [HEADER] + [f"{m},u{u},A,{(m + u) / 10}" for m in range(3)
+                        for u in range(3)] + ["", "3,u1,A,1"]
+    path = _pv_file(tmp_path, lines + [""])
+    _assert_same_pvalues(read_pvalues_csv(path), _oracle_read_pvalues(path))
+    for case, bad in sorted(BAD_PVALUE_FILES.items()):
+        path = _pv_file(tmp_path, bad + [""], name=f"{case}.csv")
+        with pytest.raises(ParseError) as want:
+            _oracle_read_pvalues(path)
+        with pytest.raises(ParseError) as got:
+            read_pvalues_csv(path)
+        assert str(got.value) == str(want.value), case
