@@ -150,17 +150,6 @@ def _corrected_moment(H, B1):
     return M
 
 
-def cts_covariance_corrected(H_hat, Z, B1, B2) -> np.ndarray:
-    """Bias-corrected covariance estimates, (K, p, p), symmetrized.
-
-    Solves {H'H - B1} C = (H - B2)' and assembles sum_i C_ki z_i z_i'.
-    Raises SingularCorrectedMoment when H'H - B1 is not positive definite."""
-    H = np.asarray(H_hat, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    C = np.linalg.solve(_corrected_moment(H, B1), (H - B2).T)
-    return _moments(Z, C.T)
-
-
 def scad_threshold(R, lam: float, a: float = _SCAD_A) -> np.ndarray:
     """Elementwise three-branch SCAD shrinkage of off-diagonal entries.
 

@@ -10,8 +10,8 @@ Numeric CSV tables are rendered by a numpy kernel that writes the bytes
 format(v, ".14e") would into fixed-width cells, a block of rows at a time,
 and hands any row it cannot render exactly to format itself. JSON float
 arrays go through one % over a template per matrix. The p-value reader
-checks whole columns a block of rows at a time, rereading the file row by
-row only to name a failing line.
+checks whole columns a block of rows at a time, and walks a block that
+fails row by row to name its first bad record.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import math
 import os
 import tempfile
+from bisect import bisect_right
 from io import StringIO
 from itertools import islice
 
@@ -396,53 +397,6 @@ def write_draws(out_dir: str, draw_set) -> str:
     return mpath
 
 
-def _pvalue_error(path: str) -> ParseError:
-    """The first error in a p-value file, found by rereading it record by
-    record: the header; each record's field count, numbers and range in file
-    order; then each hypothesis's draw indices in order of first appearance."""
-    rows = list(_records(path, ","))
-    if rows[0] != PVALUE_HEADER:
-        return ParseError(f"{path}: line 1: expected header "
-                          f"{','.join(PVALUE_HEADER)}")
-    found = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            return ParseError(f"{path}: line {lineno}: expected 4 fields, "
-                              f"found {len(row)}")
-        try:
-            idx = int(row[0])
-            pv = float(row[3])
-        except ValueError:
-            return ParseError(f"{path}: line {lineno}: malformed row {row!r}")
-        if not (0.0 <= pv <= 1.0):
-            return ParseError(f"{path}: line {lineno}: p-value {pv} "
-                              f"outside [0, 1]")
-        found.setdefault((row[1], row[2]), []).append((idx, lineno))
-    for (unit, ct), pairs in found.items():
-        idxs = sorted(idx for idx, _ in pairs)
-        m = next((m for m, idx in enumerate(idxs) if idx != m), None)
-        if m is not None:
-            dup = m > 0 and idxs[m] == idxs[m - 1]
-            lines = [n for idx, n in pairs if idx == idxs[m]]
-            what = "duplicate" if dup else f"expected {m}, found"
-            return ParseError(f"{path}: line {lines[1 if dup else 0]}: "
-                              f"{what} draw_index {idxs[m]} for unit "
-                              f"{unit!r}, cell type {ct!r}")
-
-
-def _pvalue_columns(path: str, idx, pv, kid):
-    """The (draw index, p-value, hypothesis id) arrays of a block of rows."""
-    n = len(pv)
-    try:
-        return (np.fromiter(map(int, idx), np.int64, n),
-                np.fromiter(map(float, pv), float, n),
-                np.fromiter(kid, np.intp, n))
-    except (ValueError, OverflowError):   # beyond int64 is no valid index
-        raise _pvalue_error(path) from None
-
-
 def read_pvalues_csv(path: str):
     """CSV with columns draw_index, unit_id, cell_type, p_value.
 
@@ -450,15 +404,45 @@ def read_pvalues_csv(path: str):
     keys in order of first appearance. Each hypothesis's draw indices must
     be exactly 0..M-1, with M free to differ between hypotheses. An empty
     file yields an empty mapping. Fields become arrays a block of rows at a
-    time, so no string copy of the whole file is held."""
-    keys, blocks, kid, idx, pv = {}, [], [], [], []
+    time, so no string copy of the whole file is held. The file is read once:
+    a bad one raises its first error (see FORMATS.md), by record number."""
+    keys, blocks, blanks, big, kept = {}, [], [], {}, 0
+
+    def fail(j, what):            # kept record j, after the blanks before it
+        return ParseError(f"{path}: line {j + 2 + bisect_right(blanks, j)}: "
+                          f"{what}")
+
+    def columns(idx, pv, kid):
+        """A block's (draw index, p-value) arrays. A block that fails whole
+        is walked record by record, to raise at its first bad record."""
+        try:
+            cols = (np.fromiter(map(int, idx), np.int64, len(pv)),
+                    np.fromiter(map(float, pv), float, len(pv)))
+            if ((cols[1] >= 0.0) & (cols[1] <= 1.0)).all():
+                return cols
+        except (ValueError, OverflowError):   # beyond int64 is no valid index
+            pass
+        names, ints, floats = list(keys), [], []
+        for j, (a, b, k) in enumerate(zip(idx, pv, kid), start=kept):
+            try:
+                v, x = int(a), float(b)
+            except ValueError:
+                raise fail(j, f"malformed row {[a, *names[k], b]!r}") from None
+            if not 0.0 <= x <= 1.0:
+                raise fail(j, f"p-value {x} outside [0, 1]")
+            big[j] = v                    # exact where int64 clamps it
+            ints.append(min(max(v, -1 << 63), (1 << 63) - 1))
+            floats.append(x)
+        return np.array(ints, np.int64), np.array(floats)
+
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, PVALUE_HEADER) != PVALUE_HEADER:  # empty: no rows
-                raise _pvalue_error(path)
+                raise ParseError(f"{path}: line 1: expected header "
+                                 f"{','.join(PVALUE_HEADER)}")
             while True:
-                start = reader.line_num
+                start, kid, idx, pv = reader.line_num, [], [], []
                 for row in islice(reader, _PVALUE_BLOCK):
                     if len(row) == 4:
                         idx.append(row[0])
@@ -466,24 +450,39 @@ def read_pvalues_csv(path: str):
                         kid.append(keys.setdefault((row[1], row[2]),
                                                    len(keys)))
                     elif row:
-                        raise _pvalue_error(path)
-                blocks.append(_pvalue_columns(path, idx, pv, kid))
-                kid, idx, pv = [], [], []
+                        columns(idx, pv, kid)   # an earlier bad record wins
+                        raise fail(kept + len(pv), f"expected 4 fields, "
+                                                   f"found {len(row)}")
+                    else:
+                        blanks.append(kept + len(pv))
+                blocks.append((*columns(idx, pv, kid), np.array(kid, np.intp)))
+                kept += len(pv)
                 if reader.line_num == start:      # no record was left
                     break
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
     idx, pv, kid = (np.concatenate(c) for c in zip(*blocks))
-    n = len(pv)
     # a valid hypothesis has distinct indices, so p-values never break a tie
     # that matters; sorting by them as well costs 20x the time
     order = np.lexsort((idx, kid))
     counts = np.bincount(kid)
     ends = np.cumsum(counts)
-    expected = np.arange(n) - np.repeat(ends - counts, counts)
-    if ((pv >= 0.0) & (pv <= 1.0)).all() and (idx[order] == expected).all():
+    expected = np.arange(len(pv)) - np.repeat(ends - counts, counts)
+    bad = np.flatnonzero(idx[order] != expected)
+    if not bad.size:
         return dict(zip(keys, np.split(pv[order], ends[:-1])))
-    raise _pvalue_error(path)
+    # the first hypothesis to fail, its indices exact even beyond int64
+    k = kid[order[bad[0]]]
+    js = np.flatnonzero(kid == k).tolist()
+    exact = [big.get(j, v) for j, v in zip(js, idx[js].tolist())]
+    srt = sorted(exact)
+    m = next(m for m, v in enumerate(srt) if v != m)
+    dup = m > 0 and srt[m] == srt[m - 1]
+    lines = [j for j, v in zip(js, exact) if v == srt[m]]
+    what = "duplicate" if dup else f"expected {m}, found"
+    unit, ct = list(keys)[k]
+    raise fail(lines[dup], f"{what} draw_index {srt[m]} for unit {unit!r}, "
+                           f"cell type {ct!r}")
 
 
 def write_calls_csv(path: str, decisions) -> None:

@@ -311,19 +311,17 @@ def _map_jobs(fn, jobs, workers: int) -> list:
 
 def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
                         workers: int | None = None,
-                        method_options: dict | None = None,
-                        replicate_subset=None) -> CoverageReport:
+                        method_options: dict | None = None) -> CoverageReport:
     """Empirical CI coverage of `method` over seeded replicates.
 
     Per replicate: generate a dataset, fit, build level-q intervals, and
     record the per-cell-type fraction of intervals containing the truth.
     Oracle variants receive the true subject covariances. Failing replicates
-    are recorded and skipped, not fatal. `replicate_subset` restricts to a
-    subset of replicate indices (same substreams as the full run)."""
+    are recorded and skipped, not fatal. Replicate r draws from substream
+    (config.seed, r), so fewer replicates repeat a longer run's first ones."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    reps = (list(range(config.replicates)) if replicate_subset is None
-            else list(replicate_subset))
+    reps = range(config.replicates)
     jobs = [(config, method, r, level, method_options) for r in reps]
     results = _map_jobs(_replicate_worker, jobs, resolve_workers(workers))
 

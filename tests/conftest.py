@@ -3,12 +3,14 @@
 The two simplex-LS oracles here are deliberately independent of the package
 solver: a projected-gradient iteration and an exhaustive support enumeration.
 Next to them sit a KKT certificate and the closed-form equality-constrained
-fit, which the interior-optimum checks compare against.
+fit, which the interior-optimum checks compare against, and the one-shot
+bias-corrected moment regression that run_decals' recombination must match.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from decals import covest
 from decals.deconv import sandwich
 from decals.qp import _as_problem, _gram
 
@@ -140,3 +142,14 @@ def random_instance(rng, K=None, p=None, spread=1.0):
     else:
         y = spread * rng.normal(0.0, 2.0, p)
     return W, y
+
+
+def cts_covariance_corrected(H_hat, Z, B1, B2) -> np.ndarray:
+    """Bias-corrected covariance estimates, (K, p, p), symmetrized.
+
+    Solves {H'H - B1} C = (H - B2)' and assembles sum_i C_ki z_i z_i'.
+    Raises SingularCorrectedMoment when H'H - B1 is not positive definite."""
+    H = np.asarray(H_hat, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    C = np.linalg.solve(covest._corrected_moment(H, B1), (H - B2).T)
+    return covest._moments(Z, C.T)

@@ -10,6 +10,7 @@ comparisons are on identical replicate data.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,8 +56,8 @@ def desk():
     out["decals_uncorrected"] = coverage_experiment(cfg, "decals_uncorrected")
     out["gls_oracle"] = coverage_experiment(cfg, "gls_oracle")
     out["gls_estimated"] = coverage_experiment(
-        cfg, "gls_estimated", method_options={"max_iter": 2},
-        replicate_subset=range(_GLS_EST_REPS))
+        replace(cfg, replicates=_GLS_EST_REPS), "gls_estimated",
+        method_options={"max_iter": 2})
     return out
 
 

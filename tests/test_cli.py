@@ -402,6 +402,6 @@ def test_public_names_resolve_and_removed_names_are_gone():
     removed = {"ProportionEstimate", "confidence_intervals",
                "theorem1_covariance", "bias_terms", "BiasTerms",
                "CtsCovarianceSet", "cts_covariance_raw", "kkt_residual",
-               "solve_equality_ls"}
+               "solve_equality_ls", "cts_covariance_corrected"}
     assert not removed & set(decals.__all__)
     assert not [n for n in removed if hasattr(decals, n)]

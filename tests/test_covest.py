@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import cts_covariance_corrected
 from decals import covest
 from decals.covest import (_bias_arrays, cross_validate_lambda,
-                           cts_covariance_corrected, cts_covariance_raw_all,
-                           residuals, run_decals, scad_threshold,
-                           subject_covariance)
+                           cts_covariance_raw_all, residuals, run_decals,
+                           scad_threshold, subject_covariance)
 from decals.deconv import constraint_projector, estimate_proportions, sandwich
 from decals.errors import (DimensionMismatch, InsufficientSamples,
                            NonConvergenceWarning, SingularCorrectedMoment,

@@ -661,6 +661,22 @@ BAD_PVALUE_FILES = {
                          "1,v,A,0.5", "2,u,A,0.5"],
     "two-duplicates": [HEADER, "0,u,A,0.5", "0,v,A,0.5", "0,v,A,0.5",
                        "0,u,A,0.5"],
+    # eight fields are two records' worth, still one bad record
+    "eight-fields": [HEADER, "0,u,A,0.5", "1,u,A,0.5,2,u,A,0.5"],
+    # blank records count as lines for every kind of error
+    "blanks-then-number": [HEADER, "0,u,A,0.5", "", "", "1,u,A,abc"],
+    "blanks-then-fields": [HEADER, "", "0,u,A,0.5", "", "1,u,A"],
+    "blanks-then-duplicate": [HEADER, "0,u,A,0.5", "", "1,u,A,0.5", "",
+                              "1,u,A,0.7"],
+    # indices beyond int64: exact in the message, never valid
+    "duplicate-then-beyond-int64": [HEADER, "0,u,A,0.5", "0,u,A,0.5",
+                                    "0,v,A,0.5",
+                                    "99999999999999999999,v,A,0.5"],
+    "beyond-int64-both-signs": [HEADER, "0,u,A,0.5",
+                                "+99999999999999999999,u,A,0.5",
+                                "-99999999999999999999,u,A,0.5"],
+    "two-beyond-int64": [HEADER, "0,u,A,0.5", "99999999999999999999,u,A,0.5",
+                         "99999999999999999998,u,A,0.5"],
 }
 
 
@@ -672,6 +688,25 @@ def test_pvalues_reader_errors_match_oracle(tmp_path, case):
     with pytest.raises(ParseError) as got:
         read_pvalues_csv(path)
     assert str(got.value) == str(want.value)
+
+
+def test_pvalues_reader_reads_the_file_once(tmp_path, monkeypatch):
+    calls = []
+
+    def reader(*args, **kwargs):
+        calls.append(args)
+        return csv_reader(*args, **kwargs)
+
+    csv_reader = io.csv.reader
+    monkeypatch.setattr(io.csv, "reader", reader)
+    read_pvalues_csv(_pv_file(tmp_path, [HEADER, "0,u,A,0.5", ""]))
+    assert len(calls) == 1
+    for case, bad in sorted(BAD_PVALUE_FILES.items()):
+        path = _pv_file(tmp_path, bad + [""], name=f"{case}.csv")
+        calls.clear()
+        with pytest.raises(ParseError):
+            read_pvalues_csv(path)
+        assert len(calls) == 1, case
 
 
 def test_pvalues_reader_error_lines_count_records(tmp_path):
