@@ -77,14 +77,14 @@ def cmd_deconvolve(args) -> int:
         raise ValueError(f"--tol must be > 0, got {args.tol}")
     sig = io.read_signature_tsv(args.signature)
     bulk = io.read_bulk_tsv(args.bulk)
-    collected: list[str] = []
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
         Wa, Ya = align_genes(sig, bulk)
         res = run_decals(Wa, Ya, sparse=args.sparse, correct=args.correct,
                          max_iter=args.max_iter, tol=args.tol,
                          lambdas=args.scad_lambda, seed=args.seed)
-    collected += [str(w.message) for w in wrec]
+    # the record holds every warning, res.warnings included
+    collected = [str(w.message) for w in wrec]
 
     os.makedirs(args.out, exist_ok=True)
     P, V = res.proportions, res.covariances
@@ -111,7 +111,7 @@ def cmd_deconvolve(args) -> int:
         "converged": res.converged,
         "lambdas": res.lambdas,
         "trace": res.trace,
-        "warnings": collected + list(res.warnings),
+        "warnings": collected,
         "versions": _versions(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -124,7 +124,7 @@ def cmd_deconvolve(args) -> int:
     for k, ct in enumerate(cts):
         print(f"{ct:<20}{P[:, k].mean():>10.4f}"
               f"{P[:, k].min():>10.4f}{P[:, k].max():>10.4f}")
-    for msg in collected + list(res.warnings):
+    for msg in collected:
         print(f"warning: {msg}", file=sys.stderr)
     return EXIT_OK
 
@@ -148,6 +148,7 @@ def _print_report(report) -> None:
 
 def cmd_simulate(args) -> int:
     _check_fraction("--level", args.level)
+    _check_min("--seed", args.seed, 0)
     _check_min("--gls-max-iter", args.gls_max_iter, 1)
     if args.replicates is not None:
         _check_min("--replicates", args.replicates, 1)

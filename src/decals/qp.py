@@ -10,9 +10,9 @@ directly against one Cholesky factorization of W'W. Both entry points take
 stacks: `solve_simplex_ls` a matrix of responses against one W'W, checked and
 factored once, and `solve_simplex_normal` a stack of normal equations. The
 first phase, the unconstrained start and the sum-to-one step, runs for the
-whole stack at once, elementwise across its members; only the members whose
-step leaves the simplex go on, one at a time, to add nonnegativity
-constraints.
+whole stack at once, elementwise across its members; in the same function,
+one loop then takes the members whose step leaves the simplex, one at a
+time, through the rest of the active set.
 
 The PSD projection clips negative eigenvalues at zero. The thresholded
 covariances it receives are often positive definite already, and otherwise
@@ -148,8 +148,11 @@ def _solve_stack(L, a, name):
 
     The first phase of the active set, the sum-to-one step from the
     unconstrained start, runs for all rows at once. It is the whole solve
-    for a row whose step lands in the simplex. Only the other rows go on to
-    _gi_simplex, from the state the phase left. MaxIterations from row i is
+    for a row whose step lands in the simplex. The loop below takes the
+    other rows one at a time, from the state the phase left: the equality
+    active, with the step length as its multiplier. It adds violated
+    nonnegativity constraints, each with the dual-feasible step length,
+    until every entry is at least _FEASIBLE. MaxIterations from row i is
     prefixed with name(i), or not at all when name is None."""
     n, K = a.shape
     L = np.broadcast_to(L, (n, K, K))
@@ -160,15 +163,64 @@ def _solve_stack(L, a, name):
     ok = _step_ok(denom, viol)
     t = viol / np.where(ok, denom, 1.0)
     pi = pi + t[:, None] * z
+    # constraint normals: row 0 is the equality, row k pins pi[k-1] at 0
+    E = np.vstack([np.ones(K), np.eye(K)])
+    cap = 50 * (K + 1)
     for i in np.flatnonzero(~ok | (pi.min(axis=1) < _FEASIBLE)):
-        try:
-            if not ok[i]:
-                raise MaxIterations("no feasible step; constraints degenerate")
-            pi[i] = _gi_simplex((L[i].T, False), pi[i], t[i])
-        except MaxIterations as err:
-            if name is None:
-                raise
-            raise MaxIterations(f"{name(i)}: {err}") from None
+        where = "" if name is None else f"{name(i)}: "
+        if not ok[i]:
+            raise MaxIterations(where + "no feasible step; constraints "
+                                "degenerate")
+        # cho_solve's pair for G_i; the solves skip scipy's finiteness checks
+        c = (L[i].T, False)
+        x, act, u = pi[i], [0], np.array([t[i]])
+        changes = 1                          # the first phase's equality
+        while not x.min() >= _FEASIBLE:      # a NaN entry stays in the loop
+            # take in the most violated constraint, keeping dual feasibility
+            idx, uplus = int(np.argmin(x)) + 1, 0.0
+            while True:
+                changes += 1
+                if changes > cap:
+                    raise MaxIterations(where + "active-set change cap "
+                                        "exceeded")
+                # N is C-ordered: its layout picks the BLAS kernel of
+                # N.T @ z0, and the kernels round differently
+                nplus, N = E[idx], E[act].T.copy()
+                z0 = cho_solve(c, nplus, check_finite=False)
+                GiN = cho_solve(c, N, check_finite=False)
+                r = np.linalg.solve(N.T @ GiN, N.T @ z0)
+                z = z0 - GiN @ r
+                # the step keeps active entries at zero; pinning them exactly
+                # keeps rounding from pushing one below the exit test, which
+                # on an ill-conditioned G makes the loop take it in again and
+                # cycle
+                z[[j - 1 for j in act if j]] = 0.0
+                viol = 0.0 - nplus @ x       # 0.0 - keeps a zero unsigned
+                # dual blocking step (equality constraint never leaves)
+                t1 = np.inf
+                drop = -1
+                for pos, j in enumerate(act):
+                    if j != 0 and r[pos] > _STEP_FLOOR:
+                        tj = u[pos] / r[pos]
+                        if tj < t1:
+                            t1, drop = tj, pos
+                denom = nplus @ z
+                t2 = viol / denom if _step_ok(denom, viol) else np.inf
+                step = min(t1, t2)
+                if not np.isfinite(step):
+                    raise MaxIterations(where + "no feasible step; "
+                                        "constraints degenerate")
+                x = x + step * z
+                u = u - step * r
+                uplus += step
+                if t2 <= t1:
+                    act.append(idx)
+                    u = np.append(u, uplus)
+                    break
+                # blocked: drop the binding constraint, retry the candidate
+                act.pop(drop)
+                u = np.delete(u, drop)
+        pi[i] = x
     pi = np.maximum(pi, 0.0)                 # dust above the exit test
     return pi / _row_sum(pi)[:, None]
 
@@ -203,82 +255,6 @@ def _cho_solve_rows(L, B):
             s = s - L[:, m, j, None] * X[:, m]
         X[:, j] = s / L[:, j, j, None]
     return X
-
-
-def _gi_simplex(c, pi, t) -> np.ndarray:
-    """Active-set loop for one row from where the first phase left it: pi on
-    the sum-to-one plane, reached by a step of length t, the equality's
-    multiplier. c is a (factor, lower) pair for cho_solve of the positive
-    definite G; the solves skip scipy's finiteness checks. Returns pi with
-    every entry at least _FEASIBLE."""
-    K = len(pi)
-    ones = np.ones(K)
-
-    # active constraint normals; index 0 is the equality, k>=1 pins pi[k-1] at 0
-    act = [0]
-    u = np.array([t])
-
-    def normal(idx):
-        if idx == 0:
-            return ones
-        e = np.zeros(K)
-        e[idx - 1] = 1.0
-        return e
-
-    def step_dirs(nplus, N):
-        z0 = cho_solve(c, nplus, check_finite=False)
-        GiN = cho_solve(c, N, check_finite=False)
-        r = np.linalg.solve(N.T @ GiN, N.T @ z0)
-        return z0 - GiN @ r, r
-
-    cap = 50 * (K + 1)
-    changes = 1                              # the first phase's equality
-
-    def take_in(idx, bval):
-        # add constraint idx (target n'pi = bval) keeping dual feasibility
-        nonlocal pi, act, u, changes
-        uplus = 0.0
-        while True:
-            changes += 1
-            if changes > cap:
-                raise MaxIterations("active-set change cap exceeded")
-            nplus = normal(idx)
-            N = np.column_stack([normal(j) for j in act])
-            z, r = step_dirs(nplus, N)
-            # the step keeps active entries at zero; pinning them exactly
-            # keeps rounding from pushing one below the exit test, which on
-            # an ill-conditioned G makes the loop take it in again and cycle
-            z[[j - 1 for j in act if j]] = 0.0
-            viol = bval - nplus @ pi
-            # dual blocking step (equality constraint never leaves)
-            t1 = np.inf
-            drop = -1
-            for pos, j in enumerate(act):
-                if j != 0 and r[pos] > _STEP_FLOOR:
-                    tj = u[pos] / r[pos]
-                    if tj < t1:
-                        t1, drop = tj, pos
-            denom = nplus @ z
-            t2 = viol / denom if _step_ok(denom, viol) else np.inf
-            t = min(t1, t2)
-            if not np.isfinite(t):
-                raise MaxIterations("no feasible step; constraints degenerate")
-            pi = pi + t * z
-            u = u - t * r
-            uplus += t
-            if t2 <= t1:
-                act.append(idx)
-                u = np.append(u, uplus)
-                return
-            # blocked: drop the binding constraint and retry the same candidate
-            act.pop(drop)
-            u = np.delete(u, drop)
-
-    while True:
-        k = int(np.argmin(pi))
-        if pi[k] >= _FEASIBLE:
-            return pi
-        take_in(k + 1, 0.0)
 
 
 def nearest_psd(S) -> np.ndarray:

@@ -100,6 +100,26 @@ def test_deconvolve_interval_levels(noiseless_data, tmp_path):
     assert len(lines) == 1 + 20 * 3
 
 
+def test_deconvolve_records_each_warning_once(tmp_path, capsys):
+    rng = np.random.default_rng(124)
+    p, n = 30, 20
+    W = rng.uniform(1.0, 5.0, size=(p, 3))
+    Y = W @ rng.dirichlet([4.0, 3.0, 2.0], size=n).T \
+        + rng.normal(0, 0.5, (p, n))
+    genes = [f"g{j:03d}" for j in range(p)]
+    _write_tsv(tmp_path / "sig.tsv", ["gene", "A", "B", "C"], genes, W)
+    _write_tsv(tmp_path / "bulk.tsv",
+               ["gene"] + [f"s{i:02d}" for i in range(n)], genes, Y)
+    out = tmp_path / "res"
+    assert _deconvolve(tmp_path, out, ["--max-iter", "1"]) == EXIT_OK
+    err = capsys.readouterr().err
+    recorded = json.loads((out / "run_meta.json").read_text())["warnings"]
+    assert any(m.startswith("no convergence after 1 iterations")
+               for m in recorded)
+    assert len(set(recorded)) == len(recorded)
+    assert err.splitlines() == [f"warning: {m}" for m in recorded]
+
+
 @pytest.mark.parametrize("extra, cause", [
     (["--scad-lambda", "0.1", "0.2"], "lambdas has shape (2,)"),
     (["--scad-lambda", "0.1", "0.2", "0.3", "0.4"], "lambdas has shape (4,)"),
@@ -206,9 +226,11 @@ def test_sample_rejects_negative_seed(noiseless_data, tmp_path, capsys):
       "--out", "{out}"], "--workers must be >= 1, got 0"),
     (["aggregate", "--pvalues", "{missing}", "--alpha", "5",
       "--out", "{out}"], "--alpha must be in (0, 1), got 5.0"),
+    (["simulate", "--preset", "fig2", "--replicates", "1", "--seed", "-1",
+      "--out", "{out}"], "--seed must be >= 0, got -1"),
 ], ids=["deconvolve-max-iter", "sample-draws-0", "sample-draws-negative",
         "aggregate-draws", "simulate-gls-max-iter", "simulate-replicates",
-        "simulate-workers", "aggregate-alpha"])
+        "simulate-workers", "aggregate-alpha", "simulate-seed"])
 def test_count_options_rejected_before_reading_or_writing(
         tmp_path, capsys, argv, message):
     # the inputs do not exist: reading any of them would be a file error

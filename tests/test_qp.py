@@ -284,31 +284,23 @@ def test_matrix_response_errors_name_the_column(monkeypatch):
         qp.solve_simplex_ls(W, Y[:9])
     with pytest.raises(DimensionMismatch):
         solve_equality_ls(W, Y)           # one response only
-    calls = []
-
-    def capped(c, pi, t):
-        calls.append(1)
-        if len(calls) == 2:
-            raise MaxIterations("active-set change cap exceeded")
-        return np.full(3, 1 / 3)
-
-    monkeypatch.setattr(qp, "_gi_simplex", capped)
-    # unconstrained optima on the sum-to-one plane but off the simplex, so
-    # both columns go on to the active-set loop
-    Yb = W @ np.array([[2.0, -1.0, 0.0], [0.0, -1.0, 2.0]]).T
-    with pytest.raises(MaxIterations, match="^column 1: active-set change"):
+    # column 0 is interior; column 1's optimum on the sum-to-one plane lies
+    # off the simplex, so it goes on to the active-set loop, whose scalar
+    # step test is made to fail there
+    real = qp._step_ok
+    monkeypatch.setattr(qp, "_step_ok",
+                        lambda d, v: real(d, v) & (np.ndim(d) != 0))
+    Yb = W @ np.array([[0.5, 0.3, 0.2], [2.0, -1.0, 0.0]]).T
+    with pytest.raises(MaxIterations, match="^column 1: no feasible step"):
+        qp.solve_simplex_ls(W, Yb)
+    # the same prefix when column 1's first-phase step is the one that fails
+    monkeypatch.setattr(qp, "_step_ok",
+                        lambda d, v: real(d, v) & (np.arange(np.size(d)) != 1))
+    with pytest.raises(MaxIterations, match="^column 1: no feasible step"):
         qp.solve_simplex_ls(W, Yb)
 
 
-def test_stacked_normal_equations_equal_one_matrix_solves_bytewise(
-        monkeypatch):
-    looped = []
-    real = qp._gi_simplex
-
-    def counting(*args):
-        looped.append(1)
-        return real(*args)
-    monkeypatch.setattr(qp, "_gi_simplex", counting)
+def test_stacked_normal_equations_equal_one_matrix_solves_bytewise():
     rng = np.random.default_rng(12)
     for K in (2, 3, 6):
         n = 30
@@ -322,10 +314,12 @@ def test_stacked_normal_equations_equal_one_matrix_solves_bytewise(
         Y[20:] = rng.normal(0, 3, (10, 40))  # mostly boundary optima
         G = W.transpose(0, 2, 1) @ W
         a = np.einsum('npk,np->nk', W, Y)
-        looped.clear()
         X = qp.solve_simplex_normal(G, a)
         assert X.shape == (n, K)
-        assert 0 < len(looped) < n           # both phases used
+        # rows whose sum-to-one step leaves the simplex go on to the loop
+        looped = sum(solve_equality_ls(W[i], Y[i]).min() < -1e-9
+                     for i in range(n))
+        assert 0 < looped < n                # both phases used
         for i in range(n):
             assert np.array_equal(X[i], qp.solve_simplex_normal(G[i], a[i]))
             assert_allclose(X[i], qp.solve_simplex_ls(W[i], Y[i]), atol=1e-12)
