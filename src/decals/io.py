@@ -10,8 +10,9 @@ Numeric CSV tables are rendered by a numpy kernel that writes the bytes
 format(v, ".14e") would into fixed-width cells, a block of rows at a time,
 and hands any row it cannot render exactly to format itself. JSON float
 arrays go through one % over a template per matrix. The p-value reader
-checks whole columns a block of rows at a time, and walks a block that
-fails row by row to name its first bad record.
+parses plain blocks of bytes column-wise in numpy, and hands the rest of a
+file, from its first other block, to csv.reader, which also names a bad
+file's first error. Inputs are UTF-8; an error names a file that is not.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import math
 import os
 import tempfile
 from bisect import bisect_right
-from io import StringIO
+from io import StringIO, TextIOWrapper
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .deconv import BulkMatrix, SignatureMatrix
 from .errors import ParseError
@@ -37,6 +39,9 @@ CSV_FMT = ".14e"         # 15 significant digits
 PVALUE_HEADER = ["draw_index", "unit_id", "cell_type", "p_value"]
 CALLS_HEADER = ["unit_id", "cell_type", "hit_count", "cutoff", "called"]
 _PVALUE_BLOCK = 1 << 16       # p-value records held as strings at a time
+_PVALUE_BYTES = 1 << 20       # p-value file bytes parsed column-wise at a time
+_PVALUE_LINE = (",".join(PVALUE_HEADER) + "\n").encode("ascii")
+_DIGITS = b"\x000123456789"    # a plain draw index's bytes; NUL pads it
 
 
 def fmt_csv(x) -> str:
@@ -224,6 +229,11 @@ def _write_numeric_csv(path: str, header, labels, values) -> bytes:
     return data
 
 
+def _not_utf8(path: str, err: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not valid UTF-8 (byte "
+                      f"0x{err.object[err.start]:02x}: {err.reason})")
+
+
 def _records(path: str, delimiter: str):
     """The file's CSV records, read one at a time."""
     try:
@@ -231,6 +241,8 @@ def _records(path: str, delimiter: str):
             yield from csv.reader(fh, delimiter=delimiter)
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
 
 
 def _parse_matrix_tsv(path: str, min_cols: int, delimiter: str = "\t",
@@ -312,6 +324,8 @@ def read_covariances_json(path: str):
             obj = json.load(fh)
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: line {err.lineno}, column {err.colno}: "
                          f"{err.msg}") from None
@@ -397,16 +411,87 @@ def write_draws(out_dir: str, draw_set) -> str:
     return mpath
 
 
+def _spans(buf, lo, hi, width):
+    """buf[lo[i]:hi[i]] for each i as one row of an S{width} array, padded
+    with NUL; buf ends in at least width NULs."""
+    out = sliding_window_view(buf, width)[lo]
+    out *= np.arange(width) < (hi - lo)[:, None]
+    return out.view(f"S{width}").ravel()
+
+
+def _plain_columns(data: bytes, keys: dict, known: dict):
+    """(draw indices, p-values, key ids, blank lines) of a block of whole
+    lines, or None unless it is plain (see read_pvalues_csv). A blank line is
+    given as the count of records before it in the block. New keys join
+    `keys` in order of first appearance once every check has passed; `known`
+    maps each key's bytes to its id."""
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))           # the file's last line
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    full = ends > starts
+    commas = np.flatnonzero(buf == ord(","))
+    if len(commas) != 3 * np.count_nonzero(full):
+        return None
+    # each line's three commas lie inside it, between non-empty end fields
+    c = commas.reshape(-1, 3).T
+    lo = np.stack((starts[full], c[0] + 1, c[2] + 1))
+    hi = np.stack((c[0], c[2], ends[full]))
+    if not ((lo[0] < hi[0]) & (lo[2] < hi[2])).all():
+        return None
+    widths = (hi - lo).max(1, initial=1)
+    if widths[0] > 18 or widths[1:].max() * lo.shape[1] > 2 * len(data):
+        return None                     # beyond int64, or a wasteful gather
+    buf = np.concatenate((buf, np.zeros(widths.max(), np.uint8)))
+    idx, key, pv = (_spans(buf, a, b, w) for a, b, w in zip(lo, hi, widths))
+    if (idx.tobytes().translate(None, _DIGITS)
+            or pv.tobytes().translate(None, _DIGITS + b".eE+-")):
+        return None
+    try:                  # the cast reads exactly what float reads, bitwise
+        with np.errstate(over="ignore"):        # 1e999 is inf, as in float
+            pv = pv.astype(np.float64)
+    except ValueError:
+        return None
+    if not ((pv >= 0.0) & (pv <= 1.0)).all():
+        return None
+    uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    uniq = uniq.tolist()
+    for u in np.argsort(first).tolist():
+        if uniq[u] not in known:
+            known[uniq[u]] = keys.setdefault(
+                tuple(uniq[u].decode("utf-8").split(",")), len(keys))
+    ids = np.array([known[u] for u in uniq], np.intp)
+    digits = idx.view(np.uint8).reshape(-1, widths[0]).T
+    idx = np.zeros(len(idx), np.int64)
+    for d in digits:                    # NUL pads the digits on the right
+        idx = np.where(d, 10 * idx + d - ord("0"), idx)
+    blank = np.flatnonzero(~full)
+    return idx, pv, ids[inv], blank - np.arange(len(blank))
+
+
 def read_pvalues_csv(path: str):
     """CSV with columns draw_index, unit_id, cell_type, p_value.
 
     Returns {(unit_id, cell_type): p-value array ordered by draw_index},
     keys in order of first appearance. Each hypothesis's draw indices must
     be exactly 0..M-1, with M free to differ between hypotheses. An empty
-    file yields an empty mapping. Fields become arrays a block of rows at a
-    time, so no string copy of the whole file is held. The file is read once:
-    a bad one raises its first error (see FORMATS.md), by record number."""
-    keys, blocks, blanks, big, kept = {}, [], [], {}, 0
+    file yields an empty mapping.
+
+    The file is read once, as bytes a block at a time. A plain block (no
+    quote, CR or NUL; UTF-8; each line blank or 4 fields, the index 1 to 18
+    ASCII digits, the p-value in [0, 1] spelt with [0-9.eE+-], where
+    csv.reader, int and float read the same) becomes columns in numpy. From
+    the first other block, csv.reader reads the rest a block of records at a
+    time: it alone reads quoted fields, CRLF and Python number syntax, and
+    names a bad file's first error (see FORMATS.md), by record number."""
+    keys, known, blocks, blanks, big, kept = {}, {}, [], [], {}, 0
 
     def fail(j, what):            # kept record j, after the blanks before it
         return ParseError(f"{path}: line {j + 2 + bisect_right(blanks, j)}: "
@@ -436,31 +521,53 @@ def read_pvalues_csv(path: str):
         return np.array(ints, np.int64), np.array(floats)
 
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, PVALUE_HEADER) != PVALUE_HEADER:  # empty: no rows
-                raise ParseError(f"{path}: line 1: expected header "
-                                 f"{','.join(PVALUE_HEADER)}")
-            while True:
-                start, kid, idx, pv = reader.line_num, [], [], []
-                for row in islice(reader, _PVALUE_BLOCK):
-                    if len(row) == 4:
-                        idx.append(row[0])
-                        pv.append(row[3])
-                        kid.append(keys.setdefault((row[1], row[2]),
-                                                   len(keys)))
-                    elif row:
-                        columns(idx, pv, kid)   # an earlier bad record wins
-                        raise fail(kept + len(pv), f"expected 4 fields, "
-                                                   f"found {len(row)}")
-                    else:
-                        blanks.append(kept + len(pv))
-                blocks.append((*columns(idx, pv, kid), np.array(kid, np.intp)))
-                kept += len(pv)
-                if reader.line_num == start:      # no record was left
+        with open(path, "rb") as raw:
+            head = raw.read(len(_PVALUE_LINE))
+            at = len(head) if head in (_PVALUE_LINE, _PVALUE_LINE[:-1]) else 0
+            data = raw.read(_PVALUE_BYTES) if at else b""
+            while data:                 # at: bytes read as plain blocks
+                more = raw.read(_PVALUE_BYTES)
+                cut = data.rfind(b"\n") + 1 if more else len(data)
+                got = _plain_columns(data[:cut], keys, known) if cut else None
+                if got is None:
                     break
+                blocks.append(got[:3])
+                blanks.extend((got[3] + kept).tolist())
+                kept += len(got[1])
+                at += cut
+                data = data[cut:] + more
+            if data or not at:          # hand the rest to csv.reader
+                raw.seek(at)
+                reader = csv.reader(TextIOWrapper(raw, encoding="utf-8",
+                                                  newline=""))
+                if not at and next(reader, PVALUE_HEADER) != PVALUE_HEADER:
+                    raise ParseError(f"{path}: line 1: expected header "
+                                     f"{','.join(PVALUE_HEADER)}")
+                while True:
+                    start, kid, idx, pv = reader.line_num, [], [], []
+                    for row in islice(reader, _PVALUE_BLOCK):
+                        if len(row) == 4:
+                            idx.append(row[0])
+                            pv.append(row[3])
+                            kid.append(keys.setdefault((row[1], row[2]),
+                                                       len(keys)))
+                        elif row:
+                            columns(idx, pv, kid)  # earlier bad record wins
+                            raise fail(kept + len(pv), f"expected 4 fields, "
+                                                       f"found {len(row)}")
+                        else:
+                            blanks.append(kept + len(pv))
+                    blocks.append((*columns(idx, pv, kid),
+                                   np.array(kid, np.intp)))
+                    kept += len(pv)
+                    if reader.line_num == start:      # no record was left
+                        break
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
+    if not kept:
+        return {}
     idx, pv, kid = (np.concatenate(c) for c in zip(*blocks))
     # a valid hypothesis has distinct indices, so p-values never break a tie
     # that matters; sorting by them as well costs 20x the time

@@ -160,6 +160,23 @@ def test_deconvolve_reports_parse_location(noiseless_data, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["sig.tsv", "bulk.tsv"])
+def test_deconvolve_names_a_non_utf8_input(noiseless_data, tmp_path, capsys,
+                                           bad):
+    root, _, _ = noiseless_data
+    for name in ("sig.tsv", "bulk.tsv"):
+        data = (root / name).read_bytes()
+        if name == bad:                 # a gene id with a byte 0xff
+            data = data.replace(b"g001", b"g\xff01")
+        (tmp_path / name).write_bytes(data)
+    out = tmp_path / "res"
+    assert _deconvolve(tmp_path, out) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / bad}: not valid UTF-8 (byte 0xff: invalid "
+        "start byte)\n")
+    assert not out.exists()
+
+
 def test_sample_zero_covariance_draws(noiseless_data, tmp_path, capsys):
     root, P, samples = noiseless_data
     res = tmp_path / "res"

@@ -160,6 +160,32 @@ def test_covariances_json_errors(tmp_path):
         read_covariances_json(str(bad_shape))
 
 
+@pytest.mark.parametrize("reader, text", [
+    (read_signature_tsv, "gene\tA\tB\ng1\t1.0\t2.0\ng\udcff\t1.0\t2.0\n"),
+    (read_bulk_tsv, "gene\ts1\n" + "g1\t1.0\n" * 3000 + "g\udcff\t2.0\n"),
+    (read_proportions_csv, "sample_id,A\ns\udcff,0.5\n"),
+    (read_covariances_json, '{"sample_ids": ["s\udcff"]}'),
+    # plain blocks, then the byte; a CRLF file, read by csv.reader alone
+    (read_pvalues_csv, "draw_index,unit_id,cell_type,p_value\n"
+     + "0,u,A,0.5\n" * 120000 + "0,\udcff,A,0.5\n"),
+    (read_pvalues_csv, "draw_index,unit_id,cell_type,p_value\r\n"
+     "0,u\udcff,A,0.5\r\n"),
+    # the byte and reason are the stream's: 0xc3 is followed by a comma
+    (read_pvalues_csv, "draw_index,unit_id,cell_type,p_value\n"
+     "0,u,A\udcc3,0.5\n"),
+], ids=["signature", "bulk-far-in", "proportions", "covariances",
+        "pvalues-plain", "pvalues-crlf", "pvalues-cut-sequence"])
+def test_non_utf8_input_names_its_file(tmp_path, reader, text):
+    path = tmp_path / "in.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError) as err:
+        reader(str(path))
+    byte, reason = ((0xc3, "invalid continuation byte") if "\udcc3" in text
+                    else (0xff, "invalid start byte"))
+    assert str(err.value) == (f"{path}: not valid UTF-8 (byte {byte:#04x}: "
+                              f"{reason})")
+
+
 def test_load_estimates_round_trip_and_mismatch(tmp_path):
     P = np.array([[0.6, 0.4], [0.2, 0.8]])
     V = np.array([[[0.01, -0.01], [-0.01, 0.01]]] * 2)
@@ -690,23 +716,40 @@ def test_pvalues_reader_errors_match_oracle(tmp_path, case):
     assert str(got.value) == str(want.value)
 
 
-def test_pvalues_reader_reads_the_file_once(tmp_path, monkeypatch):
-    calls = []
+@pytest.fixture
+def readers(monkeypatch):
+    """The arguments of each csv.reader the io module builds."""
+    calls, csv_reader = [], io.csv.reader
 
     def reader(*args, **kwargs):
         calls.append(args)
         return csv_reader(*args, **kwargs)
 
-    csv_reader = io.csv.reader
     monkeypatch.setattr(io.csv, "reader", reader)
-    read_pvalues_csv(_pv_file(tmp_path, [HEADER, "0,u,A,0.5", ""]))
-    assert len(calls) == 1
+    return calls
+
+
+def test_pvalues_reader_reads_the_file_once(tmp_path, monkeypatch, readers):
+    # one open of the path, valid or bad; a plain valid file never builds a
+    # csv.reader, any other file at most one, from where the plain blocks end
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open, raising=False)
+    path = _pv_file(tmp_path, [HEADER, "0,u,A,0.5", ""])
+    read_pvalues_csv(path)
+    assert (opened, readers) == ([path], [])
     for case, bad in sorted(BAD_PVALUE_FILES.items()):
         path = _pv_file(tmp_path, bad + [""], name=f"{case}.csv")
-        calls.clear()
+        opened.clear()
+        readers.clear()
         with pytest.raises(ParseError):
             read_pvalues_csv(path)
-        assert len(calls) == 1, case
+        assert opened == [path], case
+        assert len(readers) <= 1, case
 
 
 def test_pvalues_reader_error_lines_count_records(tmp_path):
@@ -725,16 +768,186 @@ def test_pvalues_reader_error_lines_count_records(tmp_path):
 
 
 def test_pvalues_reader_blocks_match_oracle(tmp_path, monkeypatch):
-    # two records a block: every seam between blocks falls inside the files
+    # blocks of a few bytes (and csv.reader blocks of two records): every
+    # seam between blocks falls inside the files, most inside a record
     monkeypatch.setattr(io, "_PVALUE_BLOCK", 2)
     lines = [HEADER] + [f"{m},u{u},A,{(m + u) / 10}" for m in range(3)
                         for u in range(3)] + ["", "3,u1,A,1"]
-    path = _pv_file(tmp_path, lines + [""])
-    _assert_same_pvalues(read_pvalues_csv(path), _oracle_read_pvalues(path))
-    for case, bad in sorted(BAD_PVALUE_FILES.items()):
-        path = _pv_file(tmp_path, bad + [""], name=f"{case}.csv")
-        with pytest.raises(ParseError) as want:
-            _oracle_read_pvalues(path)
+    for nbytes in (1, 7, 16, 64):
+        monkeypatch.setattr(io, "_PVALUE_BYTES", nbytes)
+        path = _pv_file(tmp_path, lines + [""])
+        _assert_same_pvalues(read_pvalues_csv(path),
+                             _oracle_read_pvalues(path))
+        for case, bad in sorted(BAD_PVALUE_FILES.items()):
+            path = _pv_file(tmp_path, bad + [""], name=f"{case}.csv")
+            with pytest.raises(ParseError) as want:
+                _oracle_read_pvalues(path)
+            with pytest.raises(ParseError) as got:
+                read_pvalues_csv(path)
+            assert str(got.value) == str(want.value), (nbytes, case)
+
+
+def _after_plain_prefix(lines):
+    """The records of lines (a header line dropped) behind a plain prefix of
+    24 valid records and 6 blank lines, longer than a 64-byte block."""
+    prefix = []
+    for m in range(24):
+        prefix += [f"{m // 3},w{m % 3},A,{m / 40!r}"] + [""] * (m % 4 == 3)
+    return [HEADER] + prefix + [ln for ln in lines if ln != HEADER]
+
+
+HANDOVER_FILES = {**BAD_PVALUE_FILES, **{
+    "quoted-newline": [HEADER, '0,"multi\nline",A,0.5',
+                       '1,"multi\nline",A,0.5'],
+    "python-number-syntax": [HEADER, " 1,u,A,0.5", "+0,u,A, 0.25 ",
+                             "1_0,v,A,1", *[f"{m},v,A,1" for m in range(10)]],
+    "duplicate-across": [HEADER, "0,u,A,0.5", "0,w1,A,0.5"],
+    "valid": [HEADER, "0,u,A,0.5", '1,"u",A,0.5', "1,w1,A,+0.5"],
+    # lines no plain block may hold, each a bad record for csv.reader
+    "empty-index": [HEADER, "0,u,A,0.5", ",u,A,0.5"],
+    "empty-p-value": [HEADER, "0,u,A,0.5", "1,u,A,"],
+    "index-19-digits": [HEADER, "0,u,A,0.5", "9999999999999999999,u,A,0.5"],
+    "no-commas": [HEADER, "0,u,A,0.5", "x", "1,u,A,0.5"],
+    "commas-balance": [HEADER, "0,u,A", "0,v,A,0.5,x"],
+    "cr-in-key": [HEADER, "0,u,A,0.5", "1,u\rx,A,0.5"],
+}}
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("case", sorted(HANDOVER_FILES))
+def test_pvalues_reader_hands_over_mid_file(tmp_path, monkeypatch, case, eol):
+    # plain blocks first, then csv.reader from the first other one: the
+    # result or the message, line number included, is the oracle's
+    plain = []
+
+    def plain_columns(*args):
+        plain.append(plain_columns_(*args))
+        return plain[-1]
+
+    plain_columns_ = io._plain_columns
+    monkeypatch.setattr(io, "_plain_columns", plain_columns)
+    monkeypatch.setattr(io, "_PVALUE_BYTES", 64)
+    lines = _after_plain_prefix(HANDOVER_FILES[case])
+    text = "\n".join(lines[:31]) + "\n" + eol.join(lines[31:] + [""])
+    path = tmp_path / "pv.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = _oracle_read_pvalues(path)
+    except ParseError as err:
         with pytest.raises(ParseError) as got:
             read_pvalues_csv(path)
-        assert str(got.value) == str(want.value), case
+        assert str(got.value) == str(err)
+    else:
+        _assert_same_pvalues(read_pvalues_csv(path), want)
+    # the prefix was read as plain blocks, and no block after a hand-over
+    assert len(plain) > 2 and None not in plain[:-1]
+
+
+@pytest.mark.parametrize("nbytes", [16, 40])
+def test_pvalues_reader_plain_blocks_count_blank_lines(tmp_path, monkeypatch,
+                                                       nbytes):
+    # blank lines in every block, a duplicate index between them: its line
+    # counts the blank lines of earlier blocks
+    monkeypatch.setattr(io, "_PVALUE_BYTES", nbytes)
+    lines = [HEADER]
+    for m in range(8):
+        lines += [f"{m},u,A,0.5", "", f"{m},v,A,0.5"] + [""] * (m % 3)
+    lines[12:12] = ["2,u,A,0.25"]
+    path = _pv_file(tmp_path, lines + [""])
+    with pytest.raises(ParseError) as want:
+        _oracle_read_pvalues(path)
+    with pytest.raises(ParseError) as got:
+        read_pvalues_csv(path)
+    assert str(got.value) == str(want.value)
+    assert "line 13: duplicate draw_index 2 " in str(got.value)
+
+
+def test_pvalues_reader_hands_over_after_a_full_block(tmp_path):
+    # at the real block size: over 1 MiB of plain records, then a quoted
+    # field and a bad number, their line numbers counted across the seam
+    lines = [HEADER] + [f"{m},u{u},A,0.5" for m in range(20)
+                        for u in range(6000)]
+    lines[1000:1000] = ["", ""]
+    tail = ['20,"u7",A,0.5', "", "21,u7,A,x"]
+    path = _pv_file(tmp_path, lines + tail + [""])
+    assert os.path.getsize(path) > io._PVALUE_BYTES
+    with pytest.raises(ParseError) as want:
+        _oracle_read_pvalues(path)
+    with pytest.raises(ParseError) as got:
+        read_pvalues_csv(path)
+    assert str(got.value) == str(want.value)
+    assert "line 120006: malformed row" in str(got.value)
+    path = _pv_file(tmp_path, lines + tail[:1] + [""])
+    _assert_same_pvalues(read_pvalues_csv(path), _oracle_read_pvalues(path))
+
+
+@pytest.mark.parametrize("lines", [
+    [],
+    [HEADER],
+    [HEADER, ""],
+    [HEADER, "", "", "0,u,A,0.5", "", "", "1,u,A,0.25", "", ""],
+    [HEADER, "0,u,A,0.5", "1,u,A,0.25"],
+    [HEADER, "0,żółw €,Tß,0.5", "0,ü,A,1", "1,żółw €,Tß,0", ""],
+    [HEADER, *[f"{m},u,A,{v}" for m, v in enumerate(
+        ["-0.0", "5e-324", "1.", ".5", "1e-3", "1E-3", "+0.5", "0",
+         "1", "1.0e0", "00.50", "2.5e-1", "0.1e+1"])], ""],
+    [HEADER, "0,,,0.5", "000000000000000001,,,0.5", "0,u,,0.5", ""],
+], ids=["empty", "header-only", "header-newline", "blank-lines",
+        "no-trailing-newline", "non-ascii", "number-spellings",
+        "empty-keys-and-long-index"])
+def test_pvalues_reader_plain_files_match_oracle(tmp_path, readers, lines):
+    path = _pv_file(tmp_path, lines)
+    got = read_pvalues_csv(path)
+    assert len(readers) == (0 if lines else 1)   # no header: csv.reader
+    _assert_same_pvalues(got, _oracle_read_pvalues(path))
+
+
+@pytest.mark.parametrize("value", [" 0.5", "0.5\t", "0.2_5", "\u0660.5"])
+def test_pvalues_reader_leaves_other_spellings_to_csv(tmp_path, readers,
+                                                      value):
+    # float reads these, numpy's cast need not: csv.reader reads the block
+    path = _pv_file(tmp_path, [HEADER, "0,u,A,0.5", f"1,u,A,{value}", ""])
+    got = read_pvalues_csv(path)
+    assert len(readers) == 1
+    _assert_same_pvalues(got, _oracle_read_pvalues(path))
+
+
+def test_float_cast_reads_what_float_reads():
+    # the plain path casts p-value bytes with numpy: over the plain alphabet
+    # the cast must accept exactly the strings float accepts, bit for bit
+    rng = np.random.default_rng(14)
+    alphabet = np.array(list("0123456789.eE+-"))
+    digits = np.array(list("0123456789"))
+
+    def number():
+        parts = [rng.choice(["", "+", "-"]),
+                 *rng.choice(digits, rng.integers(4))]
+        if rng.random() < 0.6:
+            parts += [".", *rng.choice(digits, rng.integers(20))]
+        if rng.random() < 0.5:
+            parts += [rng.choice(["e", "E"]), rng.choice(["", "+", "-"]),
+                      *rng.choice(digits, rng.integers(4))]
+        return "".join(parts)
+
+    strings = ["".join(rng.choice(alphabet, rng.integers(1, 10)))
+               for _ in range(2000)] + [number() for _ in range(3000)]
+    for s in strings:
+        try:
+            want = np.float64(float(s))
+        except ValueError:
+            want = None
+        try:
+            with np.errstate(over="ignore"):
+                got = np.array([s.encode()]).astype(np.float64)[0]
+        except ValueError:
+            got = None
+        if want is None or got is None:
+            assert got is want, s
+        else:
+            assert got.tobytes() == want.tobytes(), s
+    bits = rng.integers(0, 2 ** 64 - 1, 20000, np.uint64, endpoint=True)
+    bits[:5000] >>= np.uint64(12)           # positive subnormals
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    reprs = np.array([repr(v).encode() for v in x.tolist()])
+    assert reprs.astype(np.float64).tobytes() == x.tobytes()
