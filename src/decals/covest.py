@@ -10,9 +10,9 @@ cross-validation loss is exact for every grid level and computed for the
 whole grid in one pass: the entries are binned against the grid's sorted
 breakpoints through a lookup table built once per call. Every fold's
 training and held-out moments are linear combinations of K basis moments
-over all samples and K over the fold's held-out samples, so the moments
-cost two passes over the data instead of one per fold; they are kept as
-upper triangles and combined one cell type at a time.
+over all samples and K over the fold's held-out samples. The loss sums
+over entries, so the strict upper triangle is streamed in row blocks, the
+folds inside each block, and only per-bin sums are kept between blocks.
 
 run_decals alternates: covariance estimates -> subject covariances -> sandwich
 covariances V_i -> new bias terms, until V stabilizes. The residuals Z and
@@ -55,6 +55,8 @@ _CORRECTED_EIG_FLOOR = 1e-8
 _SCAD_A = 3.7
 # Cells of the lookup table that bins |r| against the SCAD breakpoints.
 _BIN_CELLS = 2 ** 16
+# Upper-triangle entries per row block of the threshold cross-validation.
+_CV_BLOCK = 2 ** 13
 
 
 @dataclass
@@ -224,51 +226,76 @@ class _GridBins:
         return b
 
 
-def _scad_grid_loss(r, s, h, bins: _GridBins) -> np.ndarray:
-    """sum((scad(r, lam) * s - h)**2) over 1-D entry arrays, for every level
-    of bins.grid; the entries of r are correlations, in [-1, 1].
+def _grid_sums(r, s, h, bins: _GridBins) -> np.ndarray:
+    """Per-bin sums (rows, 6, 3G+1) of the six coefficients of the SCAD loss
+    sum((scad(r, lam) * s - h)**2) along each row of the (rows, entries)
+    arrays r, s and h; the entries of r are correlations, in [-1, 1].
 
     For one entry with A = |r|, v = sign(r)*s and u = r*s the fit is
     piecewise linear in lam: 0 for A <= lam, u - v*lam up to 2*lam,
     c*u + (1-2c)*v*lam up to a*lam (a = _SCAD_A, c = (a-1)/(a-2)), and u
-    beyond, so its squared error is a quadratic in lam on each piece.
-    Binning A against the sorted 3G breakpoints, which are the floats
-    scad_threshold compares against, and prefix-summing the six coefficient
-    sums per bin yields every level's loss in one pass."""
+    beyond, so its squared error is a quadratic in lam on each piece. An
+    entry goes to bin b when it exceeds exactly b of the sorted 3G
+    breakpoints, which are the floats scad_threshold compares against. The
+    sums add over disjoint sets of entries, so blocks of entries can be
+    summed one at a time; _grid_loss turns them into every level's loss."""
+    rows, nb = len(r), bins.sorted.size
+    c = (_SCAD_A - 1.0) / (_SCAD_A - 2.0)
+    # one bincount per coefficient covers every row: row i owns bins i*nb...
+    b = bins.bin(np.abs(r))
+    b += np.arange(0, rows * nb, nb)[:, None]
+    b = b.ravel()
+    u = r * s
+    v = np.copysign(s, r)        # sign(r)*s but at r = 0: bin 0 reads only h*h
+    e = u - h                    # error of the kept entry
+    m = u                        # c*u - h
+    m *= c
+    m -= h
+    sums = np.empty((6, rows * nb))
+    w = np.empty_like(u)
+    for out, (x, y) in zip(sums, ((h, h), (e, e), (e, v), (v, v), (m, m),
+                                  (m, v))):
+        out[:] = np.bincount(b, np.multiply(x, y, out=w).ravel(),
+                             minlength=rows * nb)
+    return sums.reshape(6, rows, nb).swapaxes(0, 1)
+
+
+def _grid_loss(sums, bins: _GridBins) -> np.ndarray:
+    """(..., G) loss of every level of bins.grid from _grid_sums' (..., 6,
+    3G+1) per-bin sums: prefix sums give each level's sums over A <= lam,
+    lam < A <= 2*lam, 2*lam < A <= a*lam and A > a*lam."""
     grid, rank = bins.grid, bins.rank
     G = grid.size
-    A = np.abs(r)
-    u = r * s
-    v = np.sign(r) * s
-    a = _SCAD_A
-    c = (a - 1.0) / (a - 2.0)
-    e = u - h                                  # error of the kept entry
-    m = c * u - h
-    # bin b holds the entries that exceed exactly b sorted breakpoints
-    b = bins.bin(A)
-    cum = np.cumsum([np.bincount(b, weights=w, minlength=3 * G + 1)
-                     for w in (h * h, e * e, e * v, v * v, m * m, m * v)],
-                    axis=1)
-    c0, c1, c2 = cum[:, rank[:G]], cum[:, rank[G:2 * G]], cum[:, rank[2 * G:]]
-    # sums over lam < A <= 2*lam and over 2*lam < A <= a*lam
+    cum = np.moveaxis(np.cumsum(sums, axis=-1), -2, 0)
+    c0, c1, c2 = (cum[..., rank[:G]], cum[..., rank[G:2 * G]],
+                  cum[..., rank[2 * G:]])
     soft, mid = c1 - c0, c2 - c1
-    q = 1.0 - 2.0 * c
+    q = 1.0 - 2.0 * (_SCAD_A - 1.0) / (_SCAD_A - 2.0)
     return (c0[0]
             + soft[1] - 2.0 * grid * soft[2] + grid ** 2 * soft[3]
             + mid[4] + 2.0 * q * grid * mid[5] + (q * grid) ** 2 * mid[3]
-            + (cum[1, -1] - c2[1]))
+            + (cum[1, ..., -1:] - c2[1]))
 
 
-def _basis_moments(Z, H, up):
-    """Upper triangles (K, |up|) and diagonals (K, p) of the K basis moments
-    Z diag(H[:, l]) Z', built one p x p moment at a time."""
-    K = H.shape[1]
-    tri = np.empty((K, np.count_nonzero(up)))
-    diag = np.empty((K, Z.shape[0]))
-    for l in range(K):
-        S = _sym_moment(Z, H[:, l])
-        tri[l], diag[l] = S[up], np.diagonal(S)
-    return tri, diag
+def _row_blocks(p):
+    """Row ranges r0:r1 of the strict upper triangle of a p x p matrix, each
+    holding at most _CV_BLOCK entries (or one row)."""
+    ends = np.cumsum(np.arange(p - 1, 0, -1))        # entries in rows 0..r
+    r0 = 0
+    while r0 < p - 1:
+        start = ends[r0 - 1] if r0 else 0
+        r1 = int(np.searchsorted(ends, start + _CV_BLOCK, side="right"))
+        r1 = max(r1, r0 + 1)
+        yield r0, r1
+        r0 = r1
+
+
+def _block_moments(Z, H, r0, r1) -> np.ndarray:
+    """Rows r0:r1 against columns r0+1: of the K moments Z diag(H[:, l]) Z',
+    each rectangle flattened row-major: (K, (r1-r0)*(p-r0-1)), from one
+    product over the stacked weighted rows."""
+    A = H.T[:, None, :] * Z[None, r0:r1]
+    return (A.reshape(-1, Z.shape[1]) @ Z[r0 + 1:].T).reshape(len(A), -1)
 
 
 def _cv_losses(Z, H, folds: int, grid, seed: int, basis=None) -> np.ndarray:
@@ -280,35 +307,45 @@ def _cv_losses(Z, H, folds: int, grid, seed: int, basis=None) -> np.ndarray:
     held-out moment sum_l M_ho^{-1}[k, l] G_l. T_l = Z diag(h_l) Z' runs over
     all samples; `basis` (K, p, p) holds it when the caller formed it
     already. G_l is the same moment over the fold's held-out samples. The
-    loss uses each moment's upper triangle (the loss is symmetric) and
-    diagonal, which enters through a term that does not depend on lam, and
-    the types are combined one at a time: besides the basis, only T and one
-    fold's G, each (K, p(p-1)/2), stay alive."""
+    loss is symmetric: the diagonal enters through a term that does not
+    depend on lam, and the strict upper triangle is streamed in row blocks
+    (_row_blocks), folds inside, each block adding its per-bin sums to one
+    (folds, K, 6, 3G+1) accumulator; no array of the triangle's size is
+    formed."""
     n, K = H.shape
     p = Z.shape[0]
     rng = np.random.Generator(np.random.Philox(key=seed))
     fold_ids = np.array_split(rng.permutation(n), folds)
-    up = np.triu(np.ones((p, p), dtype=bool), 1)
     bins = _GridBins(grid)
     if basis is None:
         basis = _moments(Z, H)
-    T, T_d = basis[:, up], np.diagonal(basis, axis1=1, axis2=2)
-    losses = np.zeros((K, grid.size))
+    T_d = np.diagonal(basis, axis1=1, axis2=2)
+    Zs, Hs, Mi_tr, Mi_ho, rd, diag = [], [], [], [], [], []
     for hold in fold_ids:
         ho = np.zeros(n, dtype=bool)
         ho[hold] = True
-        Mi_tr = np.linalg.inv(_moment_matrix(H[~ho]))
-        Mi_ho = np.linalg.inv(_moment_matrix(H[ho]))
-        G, G_d = _basis_moments(Z[:, ho], H[ho], up)
-        for k in range(K):
-            d_tr = Mi_tr[k] @ (T_d - G_d)
-            rd = np.sqrt(np.clip(d_tr, _DIAG_FLOOR, None))
-            scale = np.outer(rd, rd)[up]
-            r = np.clip((Mi_tr[k] @ T - Mi_tr[k] @ G) / scale, -1.0, 1.0)
-            diag = ((rd * rd - Mi_ho[k] @ G_d) ** 2).sum()
-            off = _scad_grid_loss(r, scale, Mi_ho[k] @ G, bins)
-            losses[k] += diag + 2.0 * off
-    return losses
+        Mi_tr.append(np.linalg.inv(_moment_matrix(H[~ho])))
+        Mi_ho.append(np.linalg.inv(_moment_matrix(H[ho])))
+        Zs.append(Z[:, ho])
+        Hs.append(H[ho])
+        G_d = ((Zs[-1] * Zs[-1]) @ Hs[-1]).T
+        rd.append(np.sqrt(np.clip(Mi_tr[-1] @ (T_d - G_d), _DIAG_FLOOR, None)))
+        diag.append(((rd[-1] * rd[-1] - Mi_ho[-1] @ G_d) ** 2).sum(axis=1))
+    sums = np.zeros((folds, K, 6, bins.sorted.size))
+    for r0, r1 in _row_blocks(p):
+        # the block's entries in its rows r0:r1 x columns r0+1: rectangle
+        at = np.flatnonzero(np.triu(np.ones((r1 - r0, p - r0 - 1), bool)))
+        T = basis[:, r0:r1, r0 + 1:].reshape(K, -1)[:, at]
+        for f in range(folds):
+            G = _block_moments(Zs[f], Hs[f], r0, r1)[:, at]
+            s = rd[f][:, r0:r1, None] * rd[f][:, None, r0 + 1:]
+            s = s.reshape(K, -1)[:, at]
+            r = Mi_tr[f] @ (T - G)
+            r /= s
+            sums[f] += _grid_sums(np.clip(r, -1.0, 1.0, out=r), s,
+                                  Mi_ho[f] @ G, bins)
+    losses = np.array(diag)[:, :, None] + 2.0 * _grid_loss(sums, bins)
+    return losses.sum(axis=0)
 
 
 def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0,
@@ -319,9 +356,9 @@ def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0,
     fold, the thresholded training estimate is compared to the raw held-out
     estimate; the per-type grid value with the smallest summed loss wins.
     The loss is exact for every grid level and is computed for the whole
-    grid in one pass per fold and type. `basis`, when given, holds the
-    (K, p, p) full-sample moments Z diag(H[:, l]) Z' (as run_decals forms
-    them), which are then not formed again."""
+    grid in one streamed pass over the moments. `basis`, when given, holds
+    the (K, p, p) full-sample moments Z diag(H[:, l]) Z' (as run_decals
+    forms them), which are then not formed again."""
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if seed < 0:

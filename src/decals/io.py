@@ -41,6 +41,7 @@ CALLS_HEADER = ["unit_id", "cell_type", "hit_count", "cutoff", "called"]
 _PVALUE_BLOCK = 1 << 16       # p-value records held as strings at a time
 _PVALUE_BYTES = 1 << 20       # p-value file bytes parsed column-wise at a time
 _PVALUE_LINE = (",".join(PVALUE_HEADER) + "\n").encode("ascii")
+_PVALUE_CRLF = _PVALUE_LINE[:-1] + b"\r\n"
 _DIGITS = b"\x000123456789"    # a plain draw index's bytes; NUL pads it
 
 
@@ -425,6 +426,8 @@ def _plain_columns(data: bytes, keys: dict, known: dict):
     given as the count of records before it in the block. New keys join
     `keys` in order of first appearance once every check has passed; `known`
     maps each key's bytes to its id."""
+    if b"\r" in data:                   # csv.reader reads CRLF as LF
+        data = data.replace(b"\r\n", b"\n")
     if b'"' in data or b"\r" in data or b"\0" in data:
         return None
     try:
@@ -485,12 +488,13 @@ def read_pvalues_csv(path: str):
     file yields an empty mapping.
 
     The file is read once, as bytes a block at a time. A plain block (no
-    quote, CR or NUL; UTF-8; each line blank or 4 fields, the index 1 to 18
-    ASCII digits, the p-value in [0, 1] spelt with [0-9.eE+-], where
-    csv.reader, int and float read the same) becomes columns in numpy. From
-    the first other block, csv.reader reads the rest a block of records at a
-    time: it alone reads quoted fields, CRLF and Python number syntax, and
-    names a bad file's first error (see FORMATS.md), by record number."""
+    quote or NUL, and no CR but in a CRLF line end; UTF-8; each line blank or
+    4 fields, the index 1 to 18 ASCII digits, the p-value in [0, 1] spelt
+    with [0-9.eE+-], where csv.reader, int and float read the same) becomes
+    columns in numpy. From the first other block, csv.reader reads the rest
+    a block of records at a time: it alone reads quoted fields, lone CR line
+    ends and Python number syntax, and names a bad file's first error (see
+    FORMATS.md), by record number."""
     keys, known, blocks, blanks, big, kept = {}, {}, [], [], {}, 0
 
     def fail(j, what):            # kept record j, after the blanks before it
@@ -522,8 +526,11 @@ def read_pvalues_csv(path: str):
 
     try:
         with open(path, "rb") as raw:
-            head = raw.read(len(_PVALUE_LINE))
-            at = len(head) if head in (_PVALUE_LINE, _PVALUE_LINE[:-1]) else 0
+            head = raw.read(len(_PVALUE_CRLF))
+            at = (len(_PVALUE_LINE) if head.startswith(_PVALUE_LINE) else
+                  len(head) if head in (_PVALUE_CRLF, _PVALUE_LINE[:-1])
+                  else 0)
+            raw.seek(at)
             data = raw.read(_PVALUE_BYTES) if at else b""
             while data:                 # at: bytes read as plain blocks
                 more = raw.read(_PVALUE_BYTES)

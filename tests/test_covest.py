@@ -250,9 +250,10 @@ def test_grid_loss_edge_cases_match_oracle(grid):
     S_ho = 0.5 * (A + A.T)
     ref = _brute_grid_loss(R, scale, S_ho, grid)
     diag = ((rd * rd - np.diag(S_ho)) ** 2).sum()
-    got = diag + 2.0 * covest._scad_grid_loss(R[iu], scale[iu], S_ho[iu],
-                                          covest._GridBins(grid))
-    _assert_matches_oracle(got, ref)
+    bins = covest._GridBins(grid)
+    sums = covest._grid_sums(R[iu][None], scale[iu][None], S_ho[iu][None],
+                             bins)
+    _assert_matches_oracle(diag + 2.0 * covest._grid_loss(sums, bins)[0], ref)
 
 
 @pytest.mark.parametrize("grid", [
@@ -265,6 +266,25 @@ def test_cv_losses_match_oracle(grid):
     grid = np.asarray(grid, dtype=float)
     _assert_matches_oracle(covest._cv_losses(Z, H, 5, grid, 3),
                            _brute_cv_losses(Z, H, 5, grid, 3))
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, [0.5, 0.01, 0.2, 0.0, 1.0]])
+def test_cv_losses_stream_row_blocks(monkeypatch, grid):
+    # a few entries per block: the first rows are one block each, later
+    # blocks take several rows, and the losses still match the oracle
+    monkeypatch.setattr(covest, "_CV_BLOCK", 7)
+    rng = np.random.default_rng(6)
+    p, K, n = 12, 3, 60
+    H = rng.dirichlet([3, 2, 1], n) ** 2
+    Z = rng.normal(0, 1, (p, n)) * np.sqrt(H.sum(axis=1))
+    blocks = list(covest._row_blocks(p))
+    assert blocks[0] == (0, 1) and any(r1 - r0 > 1 for r0, r1 in blocks)
+    grid = np.asarray(grid, dtype=float)
+    _assert_matches_oracle(covest._cv_losses(Z, H, 5, grid, 3),
+                           _brute_cv_losses(Z, H, 5, grid, 3))
+    assert (cross_validate_lambda(Z, H, grid=grid, seed=3).tolist()
+            == cross_validate_lambda(Z, H, grid=grid, seed=3,
+                                     basis=covest._moments(Z, H)).tolist())
 
 
 @pytest.mark.parametrize("scale", ["desk", "paper"])
@@ -505,21 +525,30 @@ def test_cv_shared_basis_gives_identical_levels():
 
 
 @pytest.mark.parametrize("correct, cv, expected", [
-    (True, False, 4), (False, False, 3), (True, True, 4 + 5 * 3)])
+    (True, False, 4), (False, False, 3), (True, True, 4)])
 def test_fit_forms_each_moment_once(monkeypatch, correct, cv, expected):
-    # K + 1 basis moments (K uncorrected), plus K per CV fold, for any
-    # number of iterations
+    # K + 1 basis moments (K uncorrected) for any number of iterations; the
+    # CV forms no p x p moment, and each fold's held-out row blocks cover
+    # every upper-triangle row once, so every entry once
     W, _, Y = _sim(np.random.default_rng(0), p=60, n=60, noise=1.0)
-    calls = []
-    sym = covest._sym_moment
+    calls, blocks = [], {}
+    sym, block = covest._sym_moment, covest._block_moments
     monkeypatch.setattr(covest, "_sym_moment",
                         lambda Z, c: calls.append(Z.shape) or sym(Z, c))
+    monkeypatch.setattr(covest, "_block_moments", lambda Z, H, r0, r1: (
+        blocks.setdefault(id(Z), []).append((r0, r1)) or block(Z, H, r0, r1)))
+    monkeypatch.setattr(covest, "_CV_BLOCK", 100)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = run_decals(W, Y, max_iter=3, tol=1e-300, correct=correct,
                          lambdas=None if cv else [0.1, 0.1, 0.1])
     assert res.iterations == (3 if correct else 2)
     assert len(calls) == expected
+    assert len(blocks) == (5 if cv else 0)
+    for ranges in blocks.values():
+        assert len(ranges) > 1
+        rows = [r for r0, r1 in ranges for r in range(r0, r1)]
+        assert rows == list(range(59))
 
 
 def test_trace_records_each_iteration_and_the_fallback():

@@ -165,7 +165,8 @@ def test_covariances_json_errors(tmp_path):
     (read_bulk_tsv, "gene\ts1\n" + "g1\t1.0\n" * 3000 + "g\udcff\t2.0\n"),
     (read_proportions_csv, "sample_id,A\ns\udcff,0.5\n"),
     (read_covariances_json, '{"sample_ids": ["s\udcff"]}'),
-    # plain blocks, then the byte; a CRLF file, read by csv.reader alone
+    # plain blocks, then the byte; a CRLF file with the byte in its first
+    # block
     (read_pvalues_csv, "draw_index,unit_id,cell_type,p_value\n"
      + "0,u,A,0.5\n" * 120000 + "0,\udcff,A,0.5\n"),
     (read_pvalues_csv, "draw_index,unit_id,cell_type,p_value\r\n"
@@ -237,13 +238,15 @@ def test_write_draws_manifest_checksums(tmp_path):
     ds = ProportionDrawSet(draws, ["s1", "s2"], ["A", "B"], seed=7)
     out = tmp_path / "draws"
     mpath = write_draws(str(out), ds)
-    manifest = json.loads(open(mpath).read())
+    with open(mpath) as fh:
+        manifest = json.load(fh)
     assert manifest["M"] == 2 and manifest["seed"] == 7
     assert manifest["sample_ids"] == ["s1", "s2"]
     assert [f["name"] for f in manifest["files"]] == ["draw_0000.csv",
                                                       "draw_0001.csv"]
     for entry in manifest["files"]:
-        blob = open(out / entry["name"], "rb").read()
+        with open(out / entry["name"], "rb") as fh:
+            blob = fh.read()
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
     # file contents match the draw matrix
     lines = (out / "draw_0001.csv").read_text().splitlines()
@@ -708,12 +711,31 @@ BAD_PVALUE_FILES = {
 
 @pytest.mark.parametrize("case", sorted(BAD_PVALUE_FILES))
 def test_pvalues_reader_errors_match_oracle(tmp_path, case):
-    path = _pv_file(tmp_path, BAD_PVALUE_FILES[case] + [""])
-    with pytest.raises(ParseError) as want:
-        _oracle_read_pvalues(path)
-    with pytest.raises(ParseError) as got:
-        read_pvalues_csv(path)
-    assert str(got.value) == str(want.value)
+    # a CRLF copy names the same line as its LF twin
+    messages = []
+    for eol in ("\n", "\r\n"):
+        path = _pv_file(tmp_path, BAD_PVALUE_FILES[case] + [""], eol=eol)
+        with pytest.raises(ParseError) as want:
+            _oracle_read_pvalues(path)
+        with pytest.raises(ParseError) as got:
+            read_pvalues_csv(path)
+        assert str(got.value) == str(want.value)
+        messages.append(str(got.value))
+    assert messages[0] == messages[1]
+
+
+def test_pvalues_reader_reads_crlf_as_plain(tmp_path, monkeypatch, readers):
+    # CRLF line ends, blank lines among them, across several plain blocks:
+    # the LF file's mapping, and no csv.reader for either file
+    monkeypatch.setattr(io, "_PVALUE_BYTES", 64)
+    lines = [HEADER] + [f"{m},u{u},A,{(m + u) / 10!r}" for m in range(4)
+                        for u in range(3)]
+    lines[5:5] = ["", ""]
+    lf = read_pvalues_csv(_pv_file(tmp_path, lines + [""], name="lf.csv"))
+    crlf = read_pvalues_csv(_pv_file(tmp_path, lines + [""], name="crlf.csv",
+                                     eol="\r\n"))
+    _assert_same_pvalues(crlf, lf)
+    assert len(lf) == 3 and readers == []
 
 
 @pytest.fixture
