@@ -2,12 +2,15 @@
 the iterative variant that re-estimates subject covariances between passes.
 
 `solve_gls` and `gls_covariance` take one sample (y (p,), Sigma (p, p)) or a
-stack (Y (p, n), Sigma (n, p, p)) and whiten it in chunks of about a MB. Each
-chunk passes a gate first: every Sigma_i - tau_i I, tau_i = 1e-10
-||Sigma_i||_inf, must have a Cholesky factor. Since the max absolute row sum
-bounds the largest eigenvalue, that proves the smallest eigenvalue lies above
-1e-10 of the largest, so the eigenvalue floor below could not act. Only then
-is each Sigma_i = L_i L_i' factored and the chunk whitened by the L_i^{-1}.
+stack (Y (p, n), Sigma (n, p, p)) and whiten it in chunks of about a MB. The
+stack is an array or a `covest.SubjectCovariances`, which keeps the model's
+Sigma_i = sum_k pi_ik^2 Sigma^(k) in its per-type form and forms one chunk's
+matrices at a time, so no (n, p, p) array is held. Each chunk passes a gate
+first: every Sigma_i - tau_i I, tau_i = 1e-10 ||Sigma_i||_inf, must have a
+Cholesky factor. Since the max absolute row sum bounds the largest
+eigenvalue, that proves the smallest eigenvalue lies above 1e-10 of the
+largest, so the eigenvalue floor below could not act. Only then is each
+Sigma_i = L_i L_i' factored and the chunk whitened by the L_i^{-1}.
 Any other chunk is whitened by the symmetric inverse square root with
 eigenvalues floored at 1e-10 of the largest, which keeps near-singular and
 even indefinite inputs runnable: diag(max(w, 1e-10 max w))^{-1/2} Z' U', from
@@ -18,13 +21,13 @@ every sample's whitened normal equations in one stacked call of
 `qp.solve_simplex_normal`.
 
 This is a comparison arm. The iterative variant feeds the raw (uncorrected,
-unthresholded) covariance estimates back into the same whitening, a chunk at
-a time, and keeps only the whitened normal equations for the next pass's fit;
-those raw estimates are routinely indefinite at moderate sample sizes, so
-most chunks take the floor. The floor inflates the inverse, and the reported
-uncertainty collapses. That failure mode is in scope: the module exists to
-quantify how much worse the whitened estimator behaves when its weight
-matrix must be estimated.
+unthresholded) covariance estimates back into the same whitening, as a
+SubjectCovariances, and keeps only the whitened normal equations for the
+next pass's fit; those raw estimates are routinely indefinite at moderate
+sample sizes, so most chunks take the floor. The floor inflates the
+inverse, and the reported uncertainty collapses. That failure mode is in
+scope: the module exists to quantify how much worse the whitened estimator
+behaves when its weight matrix must be estimated.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from scipy.linalg.lapack import (dormqr, dpotrf, dsbevd, dsytrd, dsytrd_lwork,
                                  dtrtrs)
 
 from . import qp
-from .covest import DecalsResult, cts_covariance_raw_all, subject_covariance
+from .covest import DecalsResult, SubjectCovariances, cts_covariance_raw_all
 from .deconv import estimate_proportions, _values
 from .errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
                      SingularDesign, SingularSigma)
@@ -139,18 +142,19 @@ def _whiten_chunk(Wv, S, Yc, first):
     return X
 
 
-def _normal_equations(Wv, sigma, n, Y=None):
-    """The whitened normal equations of n samples: A = W' Sigma_i^{-1} W
-    (n, K, K) and, when Y (p, n) is given, a = W' Sigma_i^{-1} y_i (n, K),
-    one chunk at a time; sigma(sl) gives the samples sl's covariances."""
+def _normal_equations(Wv, S, Y=None):
+    """The whitened normal equations of the n = len(S) samples: A =
+    W' Sigma_i^{-1} W (n, K, K) and, when Y (p, n) is given, a =
+    W' Sigma_i^{-1} y_i (n, K), one chunk at a time; S[sl] gives the
+    samples sl's covariances."""
     p, K = Wv.shape
+    n = len(S)
     A = np.empty((n, K, K))
     a = np.empty((n, K))
     size = max(1, _WHITEN_BYTES // (p * p * 8))
     for start in range(0, n, size):
         sl = slice(start, min(start + size, n))
-        X = _whiten_chunk(Wv, sigma(sl), None if Y is None else Y[:, sl],
-                          start)
+        X = _whiten_chunk(Wv, S[sl], None if Y is None else Y[:, sl], start)
         M = X.transpose(0, 2, 1) @ X
         A[sl] = M[:, :K, :K]
         if Y is not None:
@@ -159,21 +163,23 @@ def _normal_equations(Wv, sigma, n, Y=None):
 
 
 def _sigma_stack(Wv, Sigma):
-    """Sigma as an (n, p, p) stack, and whether it was one (p, p) matrix."""
-    S = _values(Sigma)
+    """Sigma as an (n, p, p) stack, and whether it was one (p, p) matrix. A
+    SubjectCovariances stays as it is: np.asarray would form all of it."""
+    streamed = isinstance(Sigma, SubjectCovariances)
+    S = Sigma if streamed else _values(Sigma)
     p = Wv.shape[0]
-    if S.ndim not in (2, 3) or S.shape[-2:] != (p, p):
+    if len(S.shape) not in (2, 3) or S.shape[-2:] != (p, p):
         raise DimensionMismatch(
             f"subject covariance {S.shape} does not match p={p}")
-    return S.reshape(-1, p, p), S.ndim == 2
+    return (S if streamed else S.reshape(-1, p, p)), len(S.shape) == 2
 
 
 def solve_gls(W, y, Sigma) -> np.ndarray:
     """Simplex-constrained fit of the whitened problem.
 
     y (p,) with Sigma (p, p) gives one fit (K,); Y (p, n) with Sigma
-    (n, p, p) gives each sample's fit, (n, K). Whitening as in the module
-    docstring."""
+    (n, p, p), an array or a SubjectCovariances, gives each sample's fit,
+    (n, K). Whitening as in the module docstring."""
     Wv = _values(W)
     S, single = _sigma_stack(Wv, Sigma)
     Y = np.asarray(y, dtype=float)
@@ -181,7 +187,7 @@ def solve_gls(W, y, Sigma) -> np.ndarray:
     if Y.shape != ((p,) if single else (p, len(S))):
         raise DimensionMismatch(f"responses {Y.shape} do not match "
                                 f"{len(S)} subject covariances of size {p}")
-    A, a = _normal_equations(Wv, S.__getitem__, len(S), Y.reshape(p, -1))
+    A, a = _normal_equations(Wv, S, Y.reshape(p, -1))
     return (qp.solve_simplex_normal(A[0], a[0]) if single
             else qp.solve_simplex_normal(A, a))
 
@@ -199,12 +205,12 @@ def gls_covariance(W, Sigma) -> np.ndarray:
 
     p * (A^{-1} - A^{-1} 1 (1' A^{-1} 1)^{-1} 1' A^{-1}) with A = W' Sigma^{-1} W;
     same scale as the sandwich covariance, so /p gives the estimate covariance.
-    Sigma (p, p) gives one (K, K) covariance, Sigma (n, p, p) a stack
-    (n, K, K).
+    Sigma (p, p) gives one (K, K) covariance, Sigma (n, p, p), an array or
+    a SubjectCovariances, a stack (n, K, K).
     """
     Wv = _values(W)
     S, single = _sigma_stack(Wv, Sigma)
-    A = _normal_equations(Wv, S.__getitem__, len(S))[0]
+    A = _normal_equations(Wv, S)[0]
     qp.check_pd(A[0] if single else A, 1e-12, SingularDesign,
                 "whitened design W' Sigma^{-1} W is singular")
     V = _gls_cov(A, Wv.shape[0])
@@ -222,7 +228,6 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
     sup-norm or at max_iter (warning; last iterate returned)."""
     Wv, Yv = _values(W), _values(Y)
     p = Wv.shape[0]
-    n = Yv.shape[1]
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol > 0.0:                        # NaN or <= 0 never converges
@@ -238,8 +243,7 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
         est = (estimate_proportions(Wv, Yv) if A is None
                else qp.solve_simplex_normal(A, a))
         Sk = cts_covariance_raw_all(est ** 2, Yv - Wv @ est.T)
-        A, a = _normal_equations(
-            Wv, lambda sl: subject_covariance(est[sl], Sk), n, Yv)
+        A, a = _normal_equations(Wv, SubjectCovariances(est, Sk), Yv)
         V = _gls_cov(A, p)
         if Vprev is not None:
             delta = (np.abs(V - Vprev).max(axis=(1, 2))

@@ -20,7 +20,9 @@ have few negative eigenvalues next to p positive ones. So, for large p, a
 Cholesky factorization first proves the common PD case for a fraction of an
 eigendecomposition's cost. Only when that fails are the nonpositive
 eigenpairs, and only those, computed and subtracted. Small matrices take
-one full eigendecomposition: there the partial solve does not pay.
+one full eigendecomposition: there the partial solve does not pay. A
+diagonal matrix, which a SCAD level of 1 makes of a covariance, needs
+neither: its diagonal is clipped at zero.
 """
 
 from __future__ import annotations
@@ -261,11 +263,13 @@ def nearest_psd(S) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix to S.
 
     Symmetrizes, then clips negative eigenvalues at zero (the projection onto
-    the PSD cone for the Frobenius norm). Idempotent. Below _PARTIAL_EIG_MIN_P
-    rows this takes a full eigendecomposition. From there on, a matrix that
-    passes the Cholesky test of _is_pd is returned as it is, and any other
-    has only its nonpositive eigenpairs (w_, Q_) computed and gets
-    S - Q_ diag(w_) Q_', which is the same projection up to rounding.
+    the PSD cone for the Frobenius norm). Idempotent. A diagonal matrix is
+    its own eigendecomposition and gets its diagonal clipped, without
+    LAPACK. Below _PARTIAL_EIG_MIN_P rows any other matrix takes a full
+    eigendecomposition. From there on, a matrix that passes the Cholesky
+    test of _is_pd is returned as it is, and any other has only its
+    nonpositive eigenpairs (w_, Q_) computed and gets S - Q_ diag(w_) Q_',
+    which is the same projection up to rounding.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] == 0:
@@ -273,7 +277,12 @@ def nearest_psd(S) -> np.ndarray:
             f"expected a non-empty square matrix, got shape {S.shape}")
     if not np.isfinite(S).all():
         raise NonFinite("matrix contains NaN/Inf")
-    S = 0.5 * (S + S.T)
+    S = S + S.T
+    S *= 0.5
+    d = np.diagonal(S)
+    if np.count_nonzero(S) == np.count_nonzero(d):       # S is diagonal
+        np.fill_diagonal(S, np.maximum(d, 0.0))
+        return S
     if len(S) < _PARTIAL_EIG_MIN_P:
         w, Q = np.linalg.eigh(S)
         if w[0] >= 0.0:
@@ -297,8 +306,10 @@ def _is_pd(S) -> bool:
     smallest eigenvalue of S exceeds tau >= 0, with a margin far above the
     rounding of an eigendecomposition."""
     tau = 1e-10 * np.abs(S).sum(axis=1).max()
-    try:
-        cholesky(S - tau * np.eye(len(S)), check_finite=False)
+    M = S.copy()
+    M.flat[::len(S) + 1] -= tau
+    try:     # M is symmetric, so M.T is M, Fortran-ordered: factored in place
+        cholesky(M.T, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         return False
     return True

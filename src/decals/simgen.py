@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.special import gammaincinv, ndtr
 
-from .covest import run_decals, subject_covariance
+from .covest import SubjectCovariances, run_decals
 from .deconv import estimate_proportions, sandwich, wald_intervals
 from .errors import (DecalsError, DimensionMismatch, DivisibilityError,
                      NonPositiveMean, NonPsd)
@@ -250,7 +250,7 @@ def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
         est = estimate_proportions(Wobs, Y)
         V = sandwich(Wobs, Sig, est ** 2) / p
     elif method == "gls_oracle":
-        Kmats = subject_covariance(P, Sig)
+        Kmats = SubjectCovariances(P, Sig)
         est = solve_gls(Wobs, Y, Kmats)
         V = gls_covariance(Wobs, Kmats) / p
     elif method in ("decals", "decals_uncorrected", "gls_estimated"):

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cts_covariance_corrected
-from decals import covest
+from decals import covest, qp
 from decals.covest import (_bias_arrays, cross_validate_lambda,
                            cts_covariance_raw_all, residuals, run_decals,
                            scad_threshold, subject_covariance)
@@ -24,6 +24,32 @@ from decals.errors import (DimensionMismatch, InsufficientSamples,
 from decals.simgen import SimConfig, replicate_dataset, replicate_rng
 
 DEFAULT_GRID = np.logspace(np.log10(0.01), 0.0, 20)
+
+
+def _old_scad_threshold(R, lam, a=covest._SCAD_A):
+    """Reference: scad_threshold's formula over the whole matrix at once."""
+    A = np.abs(R)
+    S = np.sign(R)
+    soft = S * np.maximum(A - lam, 0.0)
+    mid = S * (lam + (a - 1.0) / (a - 2.0) * (A - 2.0 * lam))
+    out = np.where(A <= 2.0 * lam, soft, np.where(A <= a * lam, mid, R))
+    d = np.diag_indices(min(R.shape))
+    out[d] = R[d]
+    return out
+
+
+def _old_to_correlation(S):
+    d = np.clip(np.einsum('kk->k', S), covest._DIAG_FLOOR, None)
+    rd = np.sqrt(d)
+    R = np.clip(S / np.outer(rd, rd), -1.0, 1.0)
+    np.fill_diagonal(R, 1.0)
+    return R, rd
+
+
+def _old_sparsify(S, lam):
+    """Reference: correlation, threshold and projection, each on a copy."""
+    R, rd = _old_to_correlation(S)
+    return qp.nearest_psd(_old_scad_threshold(R, lam) * np.outer(rd, rd))
 
 
 def _brute_grid_loss(R, scale, S_ho, grid):
@@ -44,7 +70,7 @@ def _brute_cv_losses(Z, H, folds, grid, seed):
         S_tr = cts_covariance_raw_all(H[mask], Z[:, mask])
         S_ho = cts_covariance_raw_all(H[~mask], Z[:, ~mask])
         for k in range(K):
-            R, rd = covest._to_correlation(S_tr[k])
+            R, rd = _old_to_correlation(S_tr[k])
             losses[k] += _brute_grid_loss(R, np.outer(rd, rd), S_ho[k], grid)
     return losses
 
@@ -167,6 +193,47 @@ def test_scad_identity_and_shrinkage():
         scad_threshold(2.0 * np.ones((2, 2)), 0.1)       # not a correlation
     with pytest.raises(ValueError):
         scad_threshold(R, 0.1, a=2.0)                    # needs a > 2
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_scad_threshold_matches_the_whole_matrix_formula_bytewise(
+        monkeypatch, block):
+    # row blocks of one entry (one row), of 7 entries and the default; the
+    # planted entries sit on and next to every breakpoint, and include +-0
+    if block is not None:
+        monkeypatch.setattr(covest, "_SCAD_BLOCK", block)
+    rng = np.random.default_rng(30)
+    for lam in (0.0, 0.01, 0.1, 0.2636650898730358, 1.0):
+        planted = [lam, -lam, 2 * lam, -2 * lam, 3.7 * lam, -3.7 * lam,
+                   np.nextafter(2 * lam, 1.0), np.nextafter(3.7 * lam, 0.0),
+                   -np.nextafter(3.7 * lam, 9.0), 0.0, -0.0, 1.0, -1.0]
+        for shape in ((40, 40), (7, 9), (9, 7), (1, 1)):
+            R = rng.uniform(-1.0, 1.0, shape)
+            m = min(R.size, len(planted))
+            R.flat[:m] = np.clip(planted[:m], -1.0, 1.0)
+            got = scad_threshold(R, lam)
+            assert got.tobytes() == _old_scad_threshold(R, lam).tobytes()
+    with pytest.raises(ValueError, match="exceed 1"):
+        scad_threshold(np.pad(np.eye(30), ((0, 0), (0, 1)),
+                              constant_values=1.5), 0.1)
+
+
+def test_sparsify_matches_the_old_composition_bytewise(monkeypatch):
+    # the fit_genes shape (K=6, p=600, n=1000): the in-place _sparsify and
+    # the copy-per-step composition give the same levels and covariances
+    rng = np.random.default_rng(31)
+    W = rng.normal(0, 1, (600, 6))
+    P = rng.dirichlet(np.ones(6), 1000)
+    Y = W @ P.T + rng.standard_normal((600, 1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = run_decals(W, Y, max_iter=2)
+        monkeypatch.setattr(covest, "_sparsify", lambda S, lam: S.__setitem__(
+            Ellipsis, _old_sparsify(S, lam)))
+        want = run_decals(W, Y, max_iter=2)
+    assert got.lambdas.tobytes() == want.lambdas.tobytes()
+    assert got.cts_covariances.tobytes() == want.cts_covariances.tobytes()
+    assert got.covariances.tobytes() == want.covariances.tobytes()
 
 
 def test_cv_lambda_contracts():
@@ -467,7 +534,7 @@ def _oracle_loop(W, Y, max_iter, sparse, correct, lambdas):
             np.fill_diagonal(Sk[k], np.maximum(np.diagonal(Sk[k]),
                                                covest._DIAG_FLOOR))
             if sparse:
-                Sk[k] = covest._sparsify(Sk[k], lambdas[k])
+                Sk[k] = _old_sparsify(Sk[k], lambdas[k])
         V = sandwich(W, Sk, H)
     return V / p, Sk, paths
 

@@ -8,12 +8,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import enum_simplex_ls, one_sandwich
-from decals import gls, qp
-from decals.covest import cts_covariance_raw_all, subject_covariance
+from decals import gls, qp, simgen
+from decals.covest import (SubjectCovariances, cts_covariance_raw_all,
+                           subject_covariance)
 from decals.deconv import estimate_proportions
-from decals.errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
-                           SingularDesign, SingularSigma)
+from decals.errors import (DecalsError, DimensionMismatch,
+                           NonConvergenceWarning, NonFinite, SingularDesign,
+                           SingularSigma)
 from decals.gls import gls_covariance, run_gls_iterative, solve_gls
+from decals.simgen import SimConfig, replicate_dataset, replicate_rng
 
 
 def _design(rng, p=30, K=3):
@@ -525,3 +528,72 @@ def test_iteration_names_the_sample_without_a_positive_eigenvalue(
     with pytest.raises(SingularSigma, match="^matrix 5: subject covariance "
                        "has no positive eigenvalue"):
         run_gls_iterative(W, W @ P.T, max_iter=1)
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_per_type_stack_gives_the_materialised_results_bytewise(r):
+    # desk replicates of the gls_oracle arm
+    _, Wobs, P, Y, Sig = replicate_dataset(SimConfig(), replicate_rng(0, r))
+    S = SubjectCovariances(P, Sig)
+    full = subject_covariance(P, Sig)
+    assert S.shape == full.shape and len(S) == len(full)
+    assert S[5:9].tobytes() == full[5:9].tobytes()
+    assert S[7].tobytes() == full[7].tobytes()
+    assert (solve_gls(Wobs, Y, S).tobytes()
+            == solve_gls(Wobs, Y, full).tobytes())
+    assert (gls_covariance(Wobs, S).tobytes()
+            == gls_covariance(Wobs, full).tobytes())
+
+
+def _error(fn, *args):
+    with pytest.raises(DecalsError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_per_type_stack_errors_match_the_materialised_ones(monkeypatch):
+    rng = np.random.default_rng(24)
+    p, n = 10, 7
+    W, _ = _design(rng, p=p)
+    Sig = np.stack([_rand_cov(rng, p) for _ in range(3)])
+    P = rng.dirichlet([3, 2, 1], n)
+    Y = W @ P.T
+    monkeypatch.setattr(gls, "_WHITEN_BYTES", 2 * p * p * 8)
+    # a non-finite entry in the third chunk is named by its absolute index
+    P[5, 1] = np.nan
+    for fn, args in ((solve_gls, (W, Y)), (gls_covariance, (W,))):
+        want = _error(fn, *args, subject_covariance(P, Sig))
+        assert want == (NonFinite, "matrix 5: subject covariance contains "
+                        "NaN/Inf")
+        assert _error(fn, *args, SubjectCovariances(P, Sig)) == want
+    P[5, 1] = 0.2
+    # K mismatch, raised where the stack is made
+    want = _error(subject_covariance, P[:, :2], Sig)
+    assert want == (DimensionMismatch,
+                    "2 proportions vs 3 covariance matrices")
+    assert _error(SubjectCovariances, P[:, :2], Sig) == want
+    # p mismatch against W
+    for fn, args in ((solve_gls, (W[1:], Y[1:])), (gls_covariance, (W[1:],))):
+        want = _error(fn, *args, subject_covariance(P, Sig))
+        assert want == (DimensionMismatch,
+                        "subject covariance (7, 10, 10) does not match p=9")
+        assert _error(fn, *args, SubjectCovariances(P, Sig)) == want
+
+
+def test_oracle_arm_whitens_a_chunk_at_a_time():
+    # neither the fit nor the covariance of the gls_oracle arm holds an
+    # (n, p, p) stack, which np.asarray would form quietly from the
+    # per-type stack: the traced peak stays below a quarter of one
+    # (p=60, n=400: 11.5 MB)
+    _, Wobs, P, Y, Sig = replicate_dataset(SimConfig(p=60, n=400),
+                                           replicate_rng(0, 0))
+    stack = 400 * 60 * 60 * 8
+    assert gls._WHITEN_BYTES < stack / 8
+    tracemalloc.start()
+    try:
+        est, var = simgen._fit_estimates("gls_oracle", Wobs, Y, P, Sig, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.shape == var.shape == (400, 3)
+    assert peak < stack / 4, peak

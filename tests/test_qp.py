@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from conftest import (enum_simplex_ls, kkt_residual, pg_simplex_ls,
@@ -168,6 +169,23 @@ def _full_eigh_psd(S):
     return 0.5 * (out + out.T)
 
 
+def _lapack_psd(S):
+    """Reference projection through LAPACK alone: a full eigendecomposition
+    below _PARTIAL_EIG_MIN_P rows, else the Cholesky gate and the
+    nonpositive eigenpairs."""
+    S = 0.5 * (S + S.T)
+    if len(S) < qp._PARTIAL_EIG_MIN_P:
+        return _full_eigh_psd(S)
+    if qp._is_pd(S):
+        return S
+    w, Q = scipy.linalg.eigh(S, subset_by_value=(-np.inf, 0.0), driver="evr",
+                             check_finite=False)
+    if w.size == 0:
+        return S
+    out = S - (Q * w) @ Q.T
+    return 0.5 * (out + out.T)
+
+
 def _with_spectrum(w, seed=0):
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(0, 1, (len(w),) * 2))
     S = (Q * w) @ Q.T
@@ -222,6 +240,35 @@ def test_nearest_psd_zero_matrix_and_exact_zero_eigenvalues(p):
     w = np.resize([1.0, 0.0, 0.3], p)
     _assert_matches_full_eigh(_with_spectrum(w, p))
     _assert_matches_full_eigh(_with_spectrum(np.resize([1.0, 0.0, -0.3], p), p))
+
+
+@pytest.mark.parametrize("p", [1, 2, 150, 600])
+@pytest.mark.parametrize("case", ["positive", "floored", "negative", "zero"])
+def test_nearest_psd_clips_a_diagonal_without_lapack(p, case, monkeypatch):
+    # "floored": entries at run_decals' variance floor 1e-10, which at
+    # p >= _PARTIAL_EIG_MIN_P fail the Cholesky gate (tau = 1e-10 max d)
+    rng = np.random.default_rng(p)
+    d = rng.uniform(0.5, 12.0, p)
+    if case == "floored":
+        d[::7] = 1e-10
+    elif case == "negative":
+        d[::3] = -rng.uniform(0.1, 1.0, len(d[::3]))
+    elif case == "zero":
+        d[::4] = 0.0
+    S = np.diag(d)
+    want = _lapack_psd(S)
+    if case == "floored" and p >= qp._PARTIAL_EIG_MIN_P:
+        assert not qp._is_pd(S)
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on a diagonal matrix")
+
+    monkeypatch.setattr(qp, "eigh", lapack)
+    monkeypatch.setattr(qp, "cholesky", lapack)
+    monkeypatch.setattr(np.linalg, "eigh", lapack)
+    got = qp.nearest_psd(S)
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.diag(np.maximum(d, 0.0)).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0,), (3,), (2, 3), (2, 2, 2)])
