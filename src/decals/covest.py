@@ -27,9 +27,11 @@ weights M^{-1} (H - B2)', M = H'H - B1, are exact on it too, because B2 is
 s2 diag(base)'/p for the starting V and, once V comes from the sandwich,
 H D/p with D[k] the diagonal of type k's sandwich term. When the corrected
 moment matrix H'H - B1 loses positive definiteness (correction larger than
-the signal, typical at small p), the loop permanently falls back to the raw
-estimator for the rest of the run and records a warning. DecalsResult.trace
-keeps, per iteration, which estimator ran and the change in V.
+the signal, typical at small p), the loop falls back to the raw estimator
+and records a warning. The raw weights do not depend on V, so V after one
+raw pass is already the raw map's fixed point: that pass ends the loop,
+which reports it converged. DecalsResult.trace keeps, per iteration, which
+estimator ran and the change in V.
 """
 
 from __future__ import annotations
@@ -448,10 +450,12 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
               unless `lambdas` is given) and project to PSD. Without
               thresholding the plug-in V collapses along the constraint
               direction, so leave this on unless Sigma estimates are not needed.
-    correct:  apply the moment bias correction; automatically and permanently
-              falls back to the raw estimator if the corrected moment matrix
-              stops being positive definite (warning recorded).
+    correct:  apply the moment bias correction; automatically falls back
+              to the raw estimator if the corrected moment matrix stops
+              being positive definite (warning recorded).
     tol:      relative sup-norm change of all V_i that counts as converged.
+              A raw pass counts as converged too: it reaches the raw map's
+              fixed point at once.
     """
     Wv, Yv = _values(W), _values(Y)
     p, K = Wv.shape
@@ -498,8 +502,6 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
     # (H - B2)' = E [H, s2]'; the starting V_i = s2_i base gives
     # B2 = s2 diag(base)'/p
     E = np.column_stack([np.eye(K), -np.diagonal(base) / p])
-    R_raw = None
-    tripped = False
     converged = False
     iterations = 0
     di = np.arange(p)
@@ -508,21 +510,18 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
     for t in range(max_iter):
         iterations = t + 1
         path = "raw"
-        if correct and not tripped:
+        if correct:
             B1, _ = _bias_arrays(P, V, p)
             try:
                 R = np.linalg.solve(_corrected_moment(H, B1), E)
                 path = "corrected"
             except SingularCorrectedMoment as err:
-                tripped = True
                 msg = (f"iteration {t}: {err}; bias correction disabled, "
                        f"raw estimator used for the rest of the run")
                 run_warnings.append(msg)
                 warnings.warn(msg)
         if path == "raw":
-            if R_raw is None:
-                R_raw = np.linalg.inv(_moment_matrix(H))
-            R = R_raw
+            R = np.linalg.inv(_moment_matrix(H))
         Sk = np.tensordot(R, T[:R.shape[1]], axes=1)
         # variance floor, then optional sparsification
         for k in range(K):
@@ -538,7 +537,8 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
                  / (1.0 + np.abs(V).max(axis=(1, 2)))).max()
         trace.append({"path": path, "delta": float(delta)})
         V = Vn
-        if delta < tol:
+        # the raw map R @ T does not depend on V: one pass is its fixed point
+        if delta < tol or path == "raw":
             converged = True
             break
     if not converged:

@@ -5,26 +5,27 @@ the iterative variant that re-estimates subject covariances between passes.
 stack (Y (p, n), Sigma (n, p, p)) and whiten it in chunks of about a MB. The
 stack is an array or a `covest.SubjectCovariances`, which keeps the model's
 Sigma_i = sum_k pi_ik^2 Sigma^(k) in its per-type form and forms one chunk's
-matrices at a time, so no (n, p, p) array is held. Each chunk passes a gate
-first: every Sigma_i - tau_i I, tau_i = 1e-10 ||Sigma_i||_inf, must have a
+matrices at a time, so no (n, p, p) array is held. Each matrix then meets
+its own gate: Sigma_i - tau_i I, tau_i = 1e-10 ||Sigma_i||_inf, must have a
 Cholesky factor. Since the max absolute row sum bounds the largest
 eigenvalue, that proves the smallest eigenvalue lies above 1e-10 of the
-largest, so the eigenvalue floor below could not act. Only then is each
-Sigma_i = L_i L_i' factored and the chunk whitened by the L_i^{-1}.
-Any other chunk is whitened by the symmetric inverse square root with
-eigenvalues floored at 1e-10 of the largest, which keeps near-singular and
-even indefinite inputs runnable: diag(max(w, 1e-10 max w))^{-1/2} Z' U', from
+largest, so the eigenvalue floor below could not act. Only then is
+Sigma_i = L_i L_i' factored and the sample whitened by L_i^{-1}. Any other
+Sigma_i is whitened by the symmetric inverse square root with eigenvalues
+floored at 1e-10 of the largest, which keeps near-singular and even
+indefinite inputs runnable: diag(max(w, 1e-10 max w))^{-1/2} Z' U', from
 the tridiagonal form Sigma_i = U T U', T = Z diag(w) Z', without forming the
 eigenvectors U Z (Golub & Van Loan, Matrix Computations, 8.3). Both give the
-same whitened problem wherever the floor is inactive. The fit then solves
-every sample's whitened normal equations in one stacked call of
-`qp.solve_simplex_normal`.
+same whitened problem wherever the floor is inactive, and since no matrix's
+path depends on its neighbours, a stacked call gives each sample the bytes
+of its one-sample call. The fit then solves every sample's whitened normal
+equations in one stacked call of `qp.solve_simplex_normal`.
 
 This is a comparison arm. The iterative variant feeds the raw (uncorrected,
 unthresholded) covariance estimates back into the same whitening, as a
 SubjectCovariances, and keeps only the whitened normal equations for the
 next pass's fit; those raw estimates are routinely indefinite at moderate
-sample sizes, so most chunks take the floor. The floor inflates the
+sample sizes, so most matrices take the floor. The floor inflates the
 inverse, and the reported uncertainty collapses. That failure mode is in
 scope: the module exists to quantify how much worse the whitened estimator
 behaves when its weight matrix must be estimated.
@@ -74,43 +75,25 @@ def _dstevd_band(d, e):
 dstevd = getattr(lapack, "dstevd", _dstevd_band)
 
 
-def _cholesky_whiten(S, X) -> bool:
-    """Premultiply each Fortran-ordered X[i] (p, c) in place by L_i^{-1},
-    S[i] = L_i L_i'; False at the first matrix that fails the gate (module
-    docstring) or has no Cholesky factor, with the X[i] before it whitened."""
-    eye = np.eye(S.shape[1])
-    for Si, Xi in zip(S, X):
-        # C-ordered, so LAPACK works in place on Sc.T, which equals Sc
-        Sc = 0.5 * np.add(Si, Si.T, order="C")
-        tau = _EIG_FLOOR * np.abs(Sc).sum(axis=1).max()
-        if (dpotrf((Sc - tau * eye).T, lower=1, clean=0, overwrite_a=1)[1]
-                or dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)[1]):
-            return False
-        dtrtrs(Sc.T, Xi, lower=1, overwrite_b=1)
-    return True
-
-
-def _floor_whiten(S, X, first):
-    """Premultiply each Fortran-ordered X[i] (p, c) in place by the floored
-    inverse square root of the symmetric S[i], without forming its
-    eigenvectors Q = U Z: S[i] = U T U' (dsytrd), T = Z diag(w) Z' (dstevd),
-    and X[i] becomes diag(max(w, 1e-10 max w))^{-1/2} Z' U' X[i]. An error
-    names the failing matrix by its index in the stack plus `first`."""
-    p = S.shape[1]
-    lwork = int(dsytrd_lwork(p, lower=1)[0])
-    for i, (Si, Xi) in enumerate(zip(S, X), first):
-        Sc = 0.5 * np.add(Si, Si.T, order="C")     # as in _cholesky_whiten
-        c, d, e, tau = _lapack(dsytrd(Sc.T, lower=1, lwork=lwork,
-                                      overwrite_a=1), "dsytrd", i)
-        if p > 1:             # U = H_1 ... H_{p-1} acts on rows 2..p only
-            Xi[1:] = _lapack(dormqr("L", "T", c[1:, :-1], tau, Xi[1:],
-                                    Xi.shape[1]), "dormqr", i)[0]
-        w, Z = _lapack(dstevd(d, e if p > 1 else np.zeros(1)), "dstevd", i)
-        if w[-1] <= 0.0:
-            raise SingularSigma(f"matrix {i}: subject covariance has no "
-                                "positive eigenvalue")
-        r = 1.0 / np.sqrt(np.maximum(w, _EIG_FLOOR * w[-1]))
-        Xi[:] = r[:, None] * dgemm(1.0, Z, Xi, trans_a=1)
+def _floor_whiten(Sc, Xi, i):
+    """Premultiply the Fortran-ordered Xi (p, c) in place by the floored
+    inverse square root of the symmetric, C-ordered Sc, which it overwrites,
+    without forming its eigenvectors Q = U Z: Sc = U T U' (dsytrd), T = Z
+    diag(w) Z' (dstevd), and Xi becomes diag(max(w, 1e-10 max w))^{-1/2} Z'
+    U' Xi. An error names Sc as matrix i."""
+    p = len(Sc)
+    c, d, e, tau = _lapack(dsytrd(Sc.T, lower=1, overwrite_a=1,
+                                  lwork=int(dsytrd_lwork(p, lower=1)[0])),
+                           "dsytrd", i)
+    if p > 1:                 # U = H_1 ... H_{p-1} acts on rows 2..p only
+        Xi[1:] = _lapack(dormqr("L", "T", c[1:, :-1], tau, Xi[1:],
+                                Xi.shape[1]), "dormqr", i)[0]
+    w, Z = _lapack(dstevd(d, e if p > 1 else np.zeros(1)), "dstevd", i)
+    if w[-1] <= 0.0:
+        raise SingularSigma(f"matrix {i}: subject covariance has no "
+                            "positive eigenvalue")
+    r = 1.0 / np.sqrt(np.maximum(w, _EIG_FLOOR * w[-1]))
+    Xi[:] = r[:, None] * dgemm(1.0, Z, Xi, trans_a=1)
 
 
 def _design(Wv, Yc, m):
@@ -126,8 +109,8 @@ def _design(Wv, Yc, m):
 
 def _whiten_chunk(Wv, S, Yc, first):
     """`_design(Wv, Yc, m)` premultiplied by the whitening matrix of each of
-    the m subject covariances S[i] (module docstring). Errors name S[i] as
-    matrix first + i."""
+    the m subject covariances S[i], on the path its own gate picks (module
+    docstring). Errors name S[i] as matrix first + i."""
     bad = ~np.isfinite(S).all(axis=(1, 2))
     if bad.any():
         raise NonFinite(f"matrix {first + int(np.argmax(bad))}: "
@@ -136,9 +119,18 @@ def _whiten_chunk(Wv, S, Yc, first):
     # 1.15 on), all of it scipy's: numpy and scipy each bundle an OpenBLAS
     # with its own thread pool, and alternating made each wait on the other.
     X = _design(Wv, Yc, len(S))
-    if not _cholesky_whiten(S, X):
-        X = _design(Wv, Yc, len(S))      # the chunk takes the floor as a whole
-        _floor_whiten(S, X, first)
+    eye = np.eye(S.shape[1])
+    for i, (Si, Xi) in enumerate(zip(S, X), first):
+        # C-ordered, so LAPACK works in place on Sc.T, which equals Sc
+        Sc = 0.5 * np.add(Si, Si.T, order="C")
+        tau = _EIG_FLOOR * np.abs(Sc).sum(axis=1).max()
+        if not dpotrf((Sc - tau * eye).T, lower=1, clean=0, overwrite_a=1)[1]:
+            if not dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)[1]:
+                dtrtrs(Sc.T, Xi, lower=1, overwrite_b=1)
+                continue
+            # the factor failed part way and wrote over Sc: form it again
+            Sc = 0.5 * np.add(Si, Si.T, order="C")
+        _floor_whiten(Sc, Xi, i)
     return X
 
 

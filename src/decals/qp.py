@@ -287,7 +287,7 @@ def nearest_psd(S) -> np.ndarray:
         w, Q = np.linalg.eigh(S)
         if w[0] >= 0.0:
             return S
-        out = (Q * np.maximum(w, 0.0)) @ Q.T
+        S = (Q * np.maximum(w, 0.0)) @ Q.T
     elif _is_pd(S):
         return S
     else:
@@ -295,8 +295,10 @@ def nearest_psd(S) -> np.ndarray:
                     check_finite=False)
         if w.size == 0:
             return S
-        out = S - (Q * w) @ Q.T
-    return 0.5 * (out + out.T)
+        S -= (Q * w) @ Q.T           # in place: S is the symmetrized copy
+    out = S + S.T                    # two p x p arrays at a time from here
+    out *= 0.5
+    return out
 
 
 def _is_pd(S) -> bool:

@@ -568,11 +568,37 @@ def test_run_decals_loop_matches_public_oracles(case):
             res = run_decals(W, Y, max_iter=m, tol=1e-300, **options)
         V, Sk, got_paths = _oracle_loop(W, Y, m, sparse, correct, res.lambdas)
         assert got_paths == paths[:m]
-        # a second raw iteration in a row repeats V exactly (delta 0) and stops
-        assert res.iterations == m or paths[m - 2:m] == ["raw", "raw"]
+        # the raw map does not depend on V, so the first raw pass reaches its
+        # fixed point and ends the loop, converged
+        raw = "raw" in paths[:m]
+        assert res.iterations == (paths.index("raw") + 1 if raw else m)
+        assert res.converged == raw
         assert [e["path"] for e in res.trace] == paths[:res.iterations]
         _assert_matrices_close(res.covariances, V)
         _assert_matrices_close(res.cts_covariances, Sk)
+
+
+@pytest.mark.parametrize("data", ["fallback", "desk"])
+def test_tripped_fit_gives_the_uncorrected_bytes(data):
+    # after a trip, the raw pass recombines the basis moments that an
+    # uncorrected fit forms, with the same raw weights, and ends the loop:
+    # every estimate is the uncorrected fit's, byte for byte
+    if data == "fallback":
+        W, _, Y = _sim(np.random.default_rng(LOOP_CASES["fallback"][0]),
+                       p=60, n=60, noise=1.0)
+    else:
+        _, W, _, Y, _ = replicate_dataset(SimConfig(), replicate_rng(11, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = run_decals(W, Y)
+        want = run_decals(W, Y, correct=False)
+    assert any("bias correction disabled" in w for w in got.warnings)
+    assert got.trace[0]["path"] == "corrected"
+    assert got.trace[-1]["path"] == "raw" and got.converged
+    assert [e["path"] for e in want.trace] == ["raw"] and want.converged
+    for name in ("proportions", "covariances", "cts_covariances", "lambdas"):
+        assert (getattr(got, name).tobytes()
+                == getattr(want, name).tobytes()), name
 
 
 def test_cv_shared_basis_gives_identical_levels():
@@ -609,7 +635,7 @@ def test_fit_forms_each_moment_once(monkeypatch, correct, cv, expected):
         warnings.simplefilter("ignore")
         res = run_decals(W, Y, max_iter=3, tol=1e-300, correct=correct,
                          lambdas=None if cv else [0.1, 0.1, 0.1])
-    assert res.iterations == (3 if correct else 2)
+    assert res.iterations == (3 if correct else 1)
     assert len(calls) == expected
     assert len(blocks) == (5 if cv else 0)
     for ranges in blocks.values():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import enum_simplex_ls, one_sandwich
 from decals import gls, qp, simgen
@@ -216,15 +216,22 @@ def _mixed_stack(rng, p):
                      _spectrum_cov(rng, np.logspace(0, -12, p))])
 
 
+def _fails_gate(S):
+    """Whether the symmetric S fails the Cholesky gate (module docstring of
+    gls), from its spectrum; the fixtures keep far from the boundary."""
+    return np.linalg.eigvalsh(S)[0] <= 1e-10 * np.abs(S).sum(axis=1).max()
+
+
 @pytest.fixture
 def floored_calls(monkeypatch):
-    """Counts the chunks that take the floored eigendecomposition."""
+    """The indices of the matrices that take the floored eigendecomposition,
+    one entry per call."""
     calls = []
     real = gls._floor_whiten
 
-    def counting(S, *args):
-        calls.append(len(S))
-        return real(S, *args)
+    def counting(Sc, Xi, i):
+        calls.append(i)
+        return real(Sc, Xi, i)
 
     monkeypatch.setattr(gls, "_floor_whiten", counting)
     return calls
@@ -249,11 +256,38 @@ def test_whitening_path_follows_the_floor(floored_calls):
                     rtol=1e-12, atol=1e-14)
     assert_allclose(gls_covariance(W, S_ill), _old_gls_covariance(W, S_ill),
                     rtol=1e-9)
-    assert floored_calls == [1, 1]
+    assert floored_calls == [0, 0]
+
+
+def test_a_factor_that_fails_after_the_gate_takes_the_floor(monkeypatch,
+                                                          floored_calls):
+    # rounding could let Sigma - tau I factor and Sigma not; that failed
+    # factor has written over the symmetrized copy, which the floor must
+    # then form again
+    rng = np.random.default_rng(25)
+    p = 12
+    W, pi = _design(rng, p=p)
+    y = W @ pi + rng.normal(0, 1, p)
+    S = _rand_cov(rng, p)
+    real, calls = gls.dpotrf, []
+
+    def unshifted_fails(a, **kwargs):
+        c, info = real(a, **kwargs)
+        calls.append(info)
+        return c, info if len(calls) == 1 else 1
+
+    monkeypatch.setattr(gls, "dpotrf", unshifted_fails)
+    assert_allclose(solve_gls(W, y, S), _old_solve_gls(W, y, S), rtol=1e-12,
+                    atol=1e-14)
+    assert calls == [0, 0] and floored_calls == [0]
 
 
 @pytest.mark.parametrize("chunk", ["one", "two", "all"])
-def test_stacked_calls_equal_one_sample_calls(chunk, monkeypatch):
+def test_stacked_calls_equal_one_sample_calls(chunk, monkeypatch,
+                                              floored_calls):
+    # each matrix takes the path its own gate picks, whatever its chunk
+    # holds, so the floor runs once per gate-failing matrix and a stacked
+    # call gives each sample the bytes of its one-sample call
     rng = np.random.default_rng(12)
     p = 20
     W, _ = _design(rng, p=p)
@@ -266,11 +300,13 @@ def test_stacked_calls_equal_one_sample_calls(chunk, monkeypatch):
     monkeypatch.setattr(gls, "_WHITEN_BYTES", per * p * p * 8)
     est = solve_gls(W, Y, S)
     V = gls_covariance(W, S)
+    failing = [i for i in range(n) if _fails_gate(S[i])]
+    assert failing == [1, 2, 3, 4, 5, 6]
+    assert floored_calls == failing * 2
     assert est.shape == (n, 3) and V.shape == (n, 3, 3)
     for i in range(n):
-        assert_allclose(est[i], solve_gls(W, Y[:, i], S[i]), rtol=1e-12,
-                        atol=1e-14)
-        assert_allclose(V[i], gls_covariance(W, S[i]), rtol=1e-12, atol=1e-14)
+        assert_array_equal(est[i], solve_gls(W, Y[:, i], S[i]))
+        assert_array_equal(V[i], gls_covariance(W, S[i]))
         # and the old eigendecomposition-only kernel, up to rounding, which
         # a floored indefinite Sigma amplifies by cond(W' Sigma^{-1} W) ~ 1e9
         tol = max(1e-12, 1e-15 * np.linalg.cond(_old_gram(W, S[i])))
@@ -306,19 +342,23 @@ def test_stacked_shapes_are_checked():
                   np.stack([np.eye(10)] * 3))
 
 
-def test_mixed_chunk_takes_the_floor_as_a_whole(floored_calls):
-    # one chunk holding PD and indefinite covariances is floored entirely;
-    # each sample then matches the eigendecomposition-only kernel
+def test_only_gate_failing_matrices_reach_the_floor(floored_calls):
+    # one chunk holding PD and indefinite covariances floors only the
+    # matrices that fail the gate; each sample, on either path, matches the
+    # eigendecomposition-only kernel
     rng = np.random.default_rng(14)
     p = 20
     W, _ = _design(rng, p=p)
     S = np.concatenate([np.stack([_rand_cov(rng, p) for _ in range(3)]),
                         _mixed_stack(rng, p)])
     n = len(S)
+    assert n * p * p * 8 <= gls._WHITEN_BYTES          # a single chunk
     Y = W @ rng.dirichlet([3, 2, 1], n).T + rng.normal(0, 1, (p, n))
     est = solve_gls(W, Y, S)
     V = gls_covariance(W, S)
-    assert floored_calls == [n, n]
+    failing = [i for i in range(n) if _fails_gate(S[i])]
+    assert failing == [4, 5, 6]
+    assert floored_calls == failing * 2
     for i in range(n):
         tol = max(1e-12, 1e-15 * np.linalg.cond(_old_gram(W, S[i])))
         assert_allclose(est[i], _old_solve_gls(W, Y[:, i], S[i]), rtol=tol,
@@ -368,7 +408,8 @@ def test_floor_kernel_matches_the_eigendecomposition(p, monkeypatch):
     def whiten():
         out = np.array(X.transpose(0, 2, 1), order="C").transpose(0, 2, 1)
         assert all(Xi.flags.f_contiguous for Xi in out)
-        gls._floor_whiten(S, out, 0)
+        for i, (Si, Xi) in enumerate(zip(S, out)):
+            gls._floor_whiten(0.5 * np.add(Si, Si.T, order="C"), Xi, i)
         return out
 
     got = whiten()
