@@ -13,6 +13,7 @@ sample at once.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,9 @@ class BulkMatrix:
             raise DimensionMismatch("id lists do not match matrix shape")
         if len(set(self.gene_ids)) != p:
             raise GeneMismatch("duplicate gene ids in bulk matrix")
+        if len(set(self.sample_ids)) != n:
+            dup = next(s for s, c in Counter(self.sample_ids).items() if c > 1)
+            raise GeneMismatch(f"duplicate sample id {dup!r} in bulk matrix")
         if not np.isfinite(self.values).all():
             raise NonFinite("bulk matrix contains NaN/Inf")
 
@@ -75,20 +79,13 @@ def align_genes(W: SignatureMatrix, Y: BulkMatrix):
     Genes present on only one side are dropped (count reported via a warning).
     Raises GeneMismatch when no genes are shared.
     """
-    sig_index = {g: i for i, g in enumerate(W.gene_ids)}
-    keep_sig, keep_bulk = [], []
-    for j, g in enumerate(Y.gene_ids):
-        i = sig_index.get(g)
-        if i is not None:
-            keep_sig.append(i)
-            keep_bulk.append(j)
+    bulk_index = {g: j for j, g in enumerate(Y.gene_ids)}
+    keep_sig = [i for i, g in enumerate(W.gene_ids) if g in bulk_index]
     if not keep_sig:
         first = Y.gene_ids[0] if Y.gene_ids else "<empty>"
         raise GeneMismatch(f"no shared gene ids; first bulk id was {first!r}")
-    order = np.argsort(keep_sig)
-    keep_sig = [keep_sig[i] for i in order]
-    keep_bulk = [keep_bulk[i] for i in order]
-    dropped = (len(W.gene_ids) - len(keep_sig)) + (len(Y.gene_ids) - len(keep_bulk))
+    keep_bulk = [bulk_index[W.gene_ids[i]] for i in keep_sig]
+    dropped = len(W.gene_ids) + len(Y.gene_ids) - 2 * len(keep_sig)
     if dropped:
         warnings.warn(f"dropped {dropped} unmatched gene rows during alignment")
     Wa = SignatureMatrix(W.values[keep_sig], [W.gene_ids[i] for i in keep_sig],

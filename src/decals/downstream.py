@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 
 DRAW_CLIP_FLOOR = 0.0
 
@@ -74,7 +74,8 @@ def sample_proportion_sets(P, V, M: int, seed: int = 0, sample_ids=None,
 
     V is the sampling covariance a fit stores (the /p scale); drawing from it
     is what lets downstream aggregation see the estimation uncertainty. Ids
-    default to "0".."n-1", cell types to "0".."K-1"."""
+    default to "0".."n-1", cell types to "0".."K-1". A sample whose P or V
+    holds NaN/Inf raises NonFinite, naming the first such sample by id."""
     if M < 1:
         raise ValueError("M must be >= 1")
     P = np.asarray(P, dtype=float)
@@ -83,10 +84,14 @@ def sample_proportion_sets(P, V, M: int, seed: int = 0, sample_ids=None,
         raise DimensionMismatch(
             f"need proportions (n, K) with n >= 1 and covariances (n, K, K), "
             f"got {P.shape} and {V.shape}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    raw = _raw_draws(P, V, M, rng)
     if sample_ids is None:
         sample_ids = [str(i) for i in range(len(P))]
+    bad = ~(np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=(1, 2)))
+    if bad.any():
+        raise NonFinite(f"sample {list(sample_ids)[int(np.argmax(bad))]}: "
+                        "proportions or covariance contain NaN/Inf")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    raw = _raw_draws(P, V, M, rng)
     if cell_types is None:
         cell_types = [str(k) for k in range(P.shape[1])]
     return ProportionDrawSet(project_draws(raw), list(sample_ids),

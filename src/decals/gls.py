@@ -6,14 +6,15 @@ stack (Y (p, n), Sigma (n, p, p)) and whiten it in chunks of about a MB. The
 stack is an array or a `covest.SubjectCovariances`, which keeps the model's
 Sigma_i = sum_k pi_ik^2 Sigma^(k) in its per-type form and forms one chunk's
 matrices at a time, so no (n, p, p) array is held. Each matrix then meets
-its own gate: Sigma_i - tau_i I, tau_i = 1e-10 ||Sigma_i||_inf, must have a
-Cholesky factor. Since the max absolute row sum bounds the largest
-eigenvalue, that proves the smallest eigenvalue lies above 1e-10 of the
-largest, so the eigenvalue floor below could not act. Only then is
-Sigma_i = L_i L_i' factored and the sample whitened by L_i^{-1}. Any other
-Sigma_i is whitened by the symmetric inverse square root with eigenvalues
-floored at 1e-10 of the largest, which keeps near-singular and even
-indefinite inputs runnable: diag(max(w, 1e-10 max w))^{-1/2} Z' U', from
+its own gate, `qp._is_pd`: Sigma_i - tau_i I, tau_i = g ||Sigma_i||_inf
+with g = `qp._PD_GATE` = 1e-10, must have a Cholesky factor. The max
+absolute row sum bounds the largest eigenvalue, so that proves the smallest
+lies above g times the largest, and the eigenvalue floor below, at the same
+g, could not act. Only then is Sigma_i = L_i L_i' factored and the sample
+whitened by L_i^{-1}. Any other Sigma_i is whitened by the symmetric
+inverse square root with eigenvalues floored at g times the largest, which
+keeps near-singular and even indefinite inputs runnable:
+diag(max(w, g max w))^{-1/2} Z' U', from
 the tridiagonal form Sigma_i = U T U', T = Z diag(w) Z', without forming the
 eigenvectors U Z (Golub & Van Loan, Matrix Computations, 8.3). Both give the
 same whitened problem wherever the floor is inactive, and since no matrix's
@@ -48,8 +49,6 @@ from .deconv import estimate_proportions, _values
 from .errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
                      SingularDesign, SingularSigma)
 
-# Eigenvalues below this fraction of the largest are floored before inversion.
-_EIG_FLOOR = 1e-10
 # Bytes of (chunk, p, p) subject covariances whitened at a time. A chunk is
 # the only stack whitening holds, and its buffers stay in cache: on desk
 # replicates (p=150, one core, one BLAS thread) the gls_oracle arm took
@@ -79,8 +78,8 @@ def _floor_whiten(Sc, Xi, i):
     """Premultiply the Fortran-ordered Xi (p, c) in place by the floored
     inverse square root of the symmetric, C-ordered Sc, which it overwrites,
     without forming its eigenvectors Q = U Z: Sc = U T U' (dsytrd), T = Z
-    diag(w) Z' (dstevd), and Xi becomes diag(max(w, 1e-10 max w))^{-1/2} Z'
-    U' Xi. An error names Sc as matrix i."""
+    diag(w) Z' (dstevd), and Xi becomes diag(max(w, g max w))^{-1/2} Z'
+    U' Xi, with g = qp._PD_GATE. An error names Sc as matrix i."""
     p = len(Sc)
     c, d, e, tau = _lapack(dsytrd(Sc.T, lower=1, overwrite_a=1,
                                   lwork=int(dsytrd_lwork(p, lower=1)[0])),
@@ -92,7 +91,7 @@ def _floor_whiten(Sc, Xi, i):
     if w[-1] <= 0.0:
         raise SingularSigma(f"matrix {i}: subject covariance has no "
                             "positive eigenvalue")
-    r = 1.0 / np.sqrt(np.maximum(w, _EIG_FLOOR * w[-1]))
+    r = 1.0 / np.sqrt(np.maximum(w, qp._PD_GATE * w[-1]))
     Xi[:] = r[:, None] * dgemm(1.0, Z, Xi, trans_a=1)
 
 
@@ -119,12 +118,10 @@ def _whiten_chunk(Wv, S, Yc, first):
     # 1.15 on), all of it scipy's: numpy and scipy each bundle an OpenBLAS
     # with its own thread pool, and alternating made each wait on the other.
     X = _design(Wv, Yc, len(S))
-    eye = np.eye(S.shape[1])
     for i, (Si, Xi) in enumerate(zip(S, X), first):
         # C-ordered, so LAPACK works in place on Sc.T, which equals Sc
         Sc = 0.5 * np.add(Si, Si.T, order="C")
-        tau = _EIG_FLOOR * np.abs(Sc).sum(axis=1).max()
-        if not dpotrf((Sc - tau * eye).T, lower=1, clean=0, overwrite_a=1)[1]:
+        if qp._is_pd(Sc):
             if not dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)[1]:
                 dtrtrs(Sc.T, Xi, lower=1, overwrite_b=1)
                 continue

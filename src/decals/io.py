@@ -12,7 +12,8 @@ and hands any row it cannot render exactly to format itself. JSON float
 arrays go through one % over a template per matrix. The p-value reader
 parses plain blocks of bytes column-wise in numpy, and hands the rest of a
 file, from its first other block, to csv.reader, which also names a bad
-file's first error. Inputs are UTF-8; an error names a file that is not.
+file's first error. Inputs are UTF-8: `_file_errors` turns a file that cannot
+be read, or is not UTF-8, into a ParseError that names it, for every reader.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import os
 import tempfile
 from bisect import bisect_right
+from contextlib import contextmanager
 from io import StringIO, TextIOWrapper
 from itertools import islice
 
@@ -230,20 +232,24 @@ def _write_numeric_csv(path: str, header, labels, values) -> bytes:
     return data
 
 
-def _not_utf8(path: str, err: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"{path}: not valid UTF-8 (byte "
-                      f"0x{err.object[err.start]:02x}: {err.reason})")
+@contextmanager
+def _file_errors(path: str):
+    """Turn a failure to open or read `path`, or a byte of it that is not
+    UTF-8, into a ParseError that names the file."""
+    try:
+        yield
+    except OSError as err:
+        raise ParseError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        byte = err.object[err.start]
+        raise ParseError(f"{path}: not valid UTF-8 (byte 0x{byte:02x}: "
+                         f"{err.reason})") from None
 
 
 def _records(path: str, delimiter: str):
     """The file's CSV records, read one at a time."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield from csv.reader(fh, delimiter=delimiter)
-    except OSError as err:
-        raise ParseError(f"{path}: {err.strerror or err}") from None
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
+    with _file_errors(path), open(path, encoding="utf-8", newline="") as fh:
+        yield from csv.reader(fh, delimiter=delimiter)
 
 
 def _parse_matrix_tsv(path: str, min_cols: int, delimiter: str = "\t",
@@ -321,12 +327,8 @@ def write_covariances_json(path: str, sample_ids, cell_types, covs) -> None:
 
 def read_covariances_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _file_errors(path), open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as err:
-        raise ParseError(f"{path}: {err.strerror or err}") from None
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: line {err.lineno}, column {err.colno}: "
                          f"{err.msg}") from None
@@ -524,55 +526,50 @@ def read_pvalues_csv(path: str):
             floats.append(x)
         return np.array(ints, np.int64), np.array(floats)
 
-    try:
-        with open(path, "rb") as raw:
-            head = raw.read(len(_PVALUE_CRLF))
-            at = (len(_PVALUE_LINE) if head.startswith(_PVALUE_LINE) else
-                  len(head) if head in (_PVALUE_CRLF, _PVALUE_LINE[:-1])
-                  else 0)
+    with _file_errors(path), open(path, "rb") as raw:
+        head = raw.read(len(_PVALUE_CRLF))
+        at = (len(_PVALUE_LINE) if head.startswith(_PVALUE_LINE) else
+              len(head) if head in (_PVALUE_CRLF, _PVALUE_LINE[:-1])
+              else 0)
+        raw.seek(at)
+        data = raw.read(_PVALUE_BYTES) if at else b""
+        while data:                 # at: bytes read as plain blocks
+            more = raw.read(_PVALUE_BYTES)
+            cut = data.rfind(b"\n") + 1 if more else len(data)
+            got = _plain_columns(data[:cut], keys, known) if cut else None
+            if got is None:
+                break
+            blocks.append(got[:3])
+            blanks.extend((got[3] + kept).tolist())
+            kept += len(got[1])
+            at += cut
+            data = data[cut:] + more
+        if data or not at:          # hand the rest to csv.reader
             raw.seek(at)
-            data = raw.read(_PVALUE_BYTES) if at else b""
-            while data:                 # at: bytes read as plain blocks
-                more = raw.read(_PVALUE_BYTES)
-                cut = data.rfind(b"\n") + 1 if more else len(data)
-                got = _plain_columns(data[:cut], keys, known) if cut else None
-                if got is None:
+            reader = csv.reader(TextIOWrapper(raw, encoding="utf-8",
+                                              newline=""))
+            if not at and next(reader, PVALUE_HEADER) != PVALUE_HEADER:
+                raise ParseError(f"{path}: line 1: expected header "
+                                 f"{','.join(PVALUE_HEADER)}")
+            while True:
+                start, kid, idx, pv = reader.line_num, [], [], []
+                for row in islice(reader, _PVALUE_BLOCK):
+                    if len(row) == 4:
+                        idx.append(row[0])
+                        pv.append(row[3])
+                        kid.append(keys.setdefault((row[1], row[2]),
+                                                   len(keys)))
+                    elif row:
+                        columns(idx, pv, kid)  # earlier bad record wins
+                        raise fail(kept + len(pv), f"expected 4 fields, "
+                                                   f"found {len(row)}")
+                    else:
+                        blanks.append(kept + len(pv))
+                blocks.append((*columns(idx, pv, kid),
+                               np.array(kid, np.intp)))
+                kept += len(pv)
+                if reader.line_num == start:      # no record was left
                     break
-                blocks.append(got[:3])
-                blanks.extend((got[3] + kept).tolist())
-                kept += len(got[1])
-                at += cut
-                data = data[cut:] + more
-            if data or not at:          # hand the rest to csv.reader
-                raw.seek(at)
-                reader = csv.reader(TextIOWrapper(raw, encoding="utf-8",
-                                                  newline=""))
-                if not at and next(reader, PVALUE_HEADER) != PVALUE_HEADER:
-                    raise ParseError(f"{path}: line 1: expected header "
-                                     f"{','.join(PVALUE_HEADER)}")
-                while True:
-                    start, kid, idx, pv = reader.line_num, [], [], []
-                    for row in islice(reader, _PVALUE_BLOCK):
-                        if len(row) == 4:
-                            idx.append(row[0])
-                            pv.append(row[3])
-                            kid.append(keys.setdefault((row[1], row[2]),
-                                                       len(keys)))
-                        elif row:
-                            columns(idx, pv, kid)  # earlier bad record wins
-                            raise fail(kept + len(pv), f"expected 4 fields, "
-                                                       f"found {len(row)}")
-                        else:
-                            blanks.append(kept + len(pv))
-                    blocks.append((*columns(idx, pv, kid),
-                                   np.array(kid, np.intp)))
-                    kept += len(pv)
-                    if reader.line_num == start:      # no record was left
-                        break
-    except OSError as err:
-        raise ParseError(f"{path}: {err.strerror or err}") from None
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
     if not kept:
         return {}
     idx, pv, kid = (np.concatenate(c) for c in zip(*blocks))

@@ -28,12 +28,16 @@ neither: its diagonal is clipped at zero.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, eigh
+from scipy.linalg import cho_solve, eigh
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionMismatch, MaxIterations, NonFinite, SingularDesign
 
 # Relative eigenvalue threshold below which W'W counts as singular.
 _COND_FLOOR = 1e-10
+# _is_pd's shift, relative to ||S||_inf; also gls's eigenvalue floor, which
+# must equal it for the gate to prove that the floor cannot act.
+_PD_GATE = 1e-10
 # The active set loop ends once every entry is at least this; the negative
 # dust left is clamped to zero before normalizing.
 _FEASIBLE = -1e-11
@@ -302,16 +306,13 @@ def nearest_psd(S) -> np.ndarray:
 
 
 def _is_pd(S) -> bool:
-    """Whether S - tau I, tau = 1e-10 ||S||_inf, has a Cholesky factor.
+    """Whether S - tau I, tau = _PD_GATE ||S||_inf, has a Cholesky factor.
 
     The max absolute row sum bounds every eigenvalue, so success proves the
     smallest eigenvalue of S exceeds tau >= 0, with a margin far above the
     rounding of an eigendecomposition."""
-    tau = 1e-10 * np.abs(S).sum(axis=1).max()
+    tau = _PD_GATE * np.abs(S).sum(axis=1).max()
     M = S.copy()
     M.flat[::len(S) + 1] -= tau
-    try:     # M is symmetric, so M.T is M, Fortran-ordered: factored in place
-        cholesky(M.T, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    # M is symmetric, so M.T is M, Fortran-ordered: factored in place
+    return not dpotrf(M.T, lower=1, clean=0, overwrite_a=1)[1]

@@ -229,23 +229,17 @@ def replicate_dataset(config: SimConfig, rng):
     return W, Wobs, P, Y, Sig
 
 
-def _iid_baseline(W, Y):
-    """Constrained fits (n, K) with the iid-error covariance
-    s2_i (W'W)^{-1} (n, K, K), s2_i = RSS_i / (p - K), which ignores
-    gene-gene correlation."""
-    p, K = W.shape
-    est = estimate_proportions(W, Y)
-    Z = Y - W @ est.T
-    s2 = (Z * Z).sum(axis=0) / (p - K)
-    return est, s2[:, None, None] * np.linalg.inv(W.T @ W)[None, :, :]
-
-
 def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
-    """Run one method; return its point estimates and per-coordinate
-    variances, both (n, K)."""
-    p = Y.shape[0]
+    """Run one method; return its point estimates (n, K) and sampling
+    covariances (n, K, K) at the estimate's scale."""
+    p, K = Wobs.shape
     if method == "ols":
-        est, V = _iid_baseline(Wobs, Y)
+        # the iid-error covariance s2_i (W'W)^{-1}, s2_i = RSS_i / (p - K),
+        # which ignores gene-gene correlation
+        est = estimate_proportions(Wobs, Y)
+        Z = Y - Wobs @ est.T
+        s2 = (Z * Z).sum(axis=0) / (p - K)
+        V = s2[:, None, None] * np.linalg.inv(Wobs.T @ Wobs)[None, :, :]
     elif method == "decals_oracle":
         est = estimate_proportions(Wobs, Y)
         V = sandwich(Wobs, Sig, est ** 2) / p
@@ -263,15 +257,15 @@ def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
         est, V = res.proportions, res.covariances
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return est, np.einsum('nkk->nk', V)
+    return est, V
 
 
 def _replicate_coverage(config: SimConfig, method: str, r: int, level: float,
                         options):
     rng = replicate_rng(config.seed, r)
     W, Wobs, P, Y, Sig = replicate_dataset(config, rng)
-    est, var = _fit_estimates(method, Wobs, Y, P, Sig, options)
-    lo, hi = wald_intervals(est, var, level)
+    est, V = _fit_estimates(method, Wobs, Y, P, Sig, options)
+    lo, hi = wald_intervals(est, np.einsum('nkk->nk', V), level)
     hits = (lo <= P) & (P <= hi)
     return (hits.mean(axis=0), (hi - lo).mean(axis=0),
             np.abs(est - P).mean(axis=0))
@@ -382,12 +376,7 @@ def _replicate_v_errors(args):
     truth = sandwich(W, Sig, P ** 2) / Y.shape[0]   # at the /p scale
     out = {}
     for method in methods:
-        if method == "decals":
-            Vh = run_decals(Wobs, Y).covariances
-        elif method == "ols":
-            Vh = _iid_baseline(Wobs, Y)[1]
-        else:
-            raise ValueError(f"v_error_study supports decals/ols, got {method!r}")
+        Vh = _fit_estimates(method, Wobs, Y, P, Sig, None)[1]
         out[method] = np.array(
             [np.sqrt(np.mean((Vh[:, l, m] - truth[:, l, m]) ** 2))
              for l, m in entries])
@@ -401,7 +390,8 @@ def v_error_study(p_values=(150, 300), signature_sds=(1.0, 2.0), *,
     """RMS estimation error of the per-sample covariance, per matrix entry,
     across a grid of gene counts and signature sds. Errors shrink as either
     grows, and the pipeline estimate beats the iid-error baseline throughout.
-    The replicates of every grid cell run in `workers` processes (see
+    `methods` are METHODS names, each run with default options. The
+    replicates of every grid cell run in `workers` processes (see
     resolve_workers); the table does not depend on their number.
     """
     K = 3

@@ -293,6 +293,50 @@ def test_sample_refuses_half_written_results(noiseless_data, tmp_path,
     assert not draws_dir.exists()
 
 
+@pytest.mark.parametrize("cell", ["proportion", "covariance"])
+def test_sample_rejects_a_nonfinite_estimate(noiseless_data, tmp_path, capsys,
+                                            cell):
+    # a nan in proportions.csv or a null in covariances.json once came out
+    # as uniform draws with exit 0
+    root, _, _ = noiseless_data
+    res = tmp_path / "res"
+    assert _deconvolve(root, res) == EXIT_OK
+    if cell == "proportion":
+        path = res / "proportions.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[4].split(",")
+        lines[4] = ",".join(fields[:2] + ["nan"] + fields[3:])
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        path = res / "covariances.json"
+        obj = json.loads(path.read_text())
+        obj["covariances"][3][0][1] = None
+        path.write_text(json.dumps(obj))
+    draws_dir = tmp_path / "draws"
+    code = main(["sample", "--results", str(res), "--draws", "3",
+                 "--out", str(draws_dir)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: sample s03: proportions or covariance contain NaN/Inf\n")
+    assert not draws_dir.exists()
+
+
+def test_deconvolve_rejects_a_repeated_sample_id(noiseless_data, tmp_path,
+                                                 capsys):
+    root, _, _ = noiseless_data
+    lines = (root / "bulk.tsv").read_text().splitlines()
+    header = lines[0].split("\t")
+    header[4] = header[3]                     # s02 twice
+    (tmp_path / "bulk.tsv").write_text(
+        "\n".join(["\t".join(header)] + lines[1:]) + "\n")
+    (tmp_path / "sig.tsv").write_bytes((root / "sig.tsv").read_bytes())
+    out = tmp_path / "res"
+    assert _deconvolve(tmp_path, out) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: duplicate sample id 's02' in bulk matrix\n")
+    assert not out.exists()
+
+
 def test_sample_missing_results_dir(tmp_path, capsys):
     code = main(["sample", "--results", str(tmp_path / "nope"),
                  "--draws", "2", "--out", str(tmp_path / "d")])

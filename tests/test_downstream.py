@@ -20,7 +20,7 @@ from decals.downstream import (
     project_draws,
     sample_proportion_sets,
 )
-from decals.errors import DimensionMismatch
+from decals.errors import DimensionMismatch, NonFinite
 
 
 def _sum_zero_cov(K, scale, rng):
@@ -118,6 +118,25 @@ def test_sampling_input_validation():
         sample_proportion_sets(est[0], np.zeros((1, 3, 3)), M=5)
     with pytest.raises(DimensionMismatch):
         ProportionDrawSet(np.zeros((3, 2)), ["a"], ["0", "1"], 0)
+
+
+@pytest.mark.parametrize("where", ["P", "V"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_sampling_rejects_nonfinite_estimates(where, value):
+    # clipping a NaN row leaves no mass, and the uniform fallback would hide
+    # it in every draw: the first bad sample is named by id instead
+    P = np.tile([0.2, 0.3, 0.5], (4, 1))
+    V = np.zeros((4, 3, 3))
+    if where == "P":
+        P[2, 1] = value
+    else:
+        V[2, 0, 1] = value
+    P[3, 0] = np.nan
+    with pytest.raises(NonFinite, match="^sample c: proportions or "
+                       "covariance contain NaN/Inf$"):
+        sample_proportion_sets(P, V, M=3, sample_ids=["a", "b", "c", "d"])
+    with pytest.raises(NonFinite, match="^sample 2: "):
+        sample_proportion_sets(P, V, M=3)
 
 
 def test_call_cutoff_values():

@@ -261,9 +261,10 @@ def test_whitening_path_follows_the_floor(floored_calls):
 
 def test_a_factor_that_fails_after_the_gate_takes_the_floor(monkeypatch,
                                                           floored_calls):
-    # rounding could let Sigma - tau I factor and Sigma not; that failed
-    # factor has written over the symmetrized copy, which the floor must
-    # then form again
+    # rounding could let Sigma - tau I factor (the gate, qp._is_pd) and
+    # Sigma not; gls.dpotrf sees only that unshifted factor, whose failure
+    # has written over the symmetrized copy, which the floor must then form
+    # again
     rng = np.random.default_rng(25)
     p = 12
     W, pi = _design(rng, p=p)
@@ -274,12 +275,37 @@ def test_a_factor_that_fails_after_the_gate_takes_the_floor(monkeypatch,
     def unshifted_fails(a, **kwargs):
         c, info = real(a, **kwargs)
         calls.append(info)
-        return c, info if len(calls) == 1 else 1
+        return c, 1
 
     monkeypatch.setattr(gls, "dpotrf", unshifted_fails)
     assert_allclose(solve_gls(W, y, S), _old_solve_gls(W, y, S), rtol=1e-12,
                     atol=1e-14)
-    assert calls == [0, 0] and floored_calls == [0]
+    assert calls == [0] and floored_calls == [0]
+
+
+def test_whitening_asks_the_qp_gate_once_per_matrix(monkeypatch,
+                                                    floored_calls):
+    # gls and nearest_psd share one gate: whitening asks qp._is_pd once per
+    # subject covariance, and only the matrices it refuses reach the floor
+    rng = np.random.default_rng(16)
+    p = 20
+    W, _ = _design(rng, p=p)
+    S = np.concatenate([_mixed_stack(rng, p),
+                        np.stack([_rand_cov(rng, p) for _ in range(2)])])
+    real, verdicts = qp._is_pd, []
+
+    def counting(M):
+        verdicts.append(real(M))
+        return verdicts[-1]
+
+    monkeypatch.setattr(qp, "_is_pd", counting)
+    gls_covariance(W, S)
+    assert verdicts == [not _fails_gate(Si) for Si in S]
+    assert verdicts == [True, False, False, False, True, True]
+    assert floored_calls == [1, 2, 3]
+    Y = W @ rng.dirichlet([3, 2, 1], len(S)).T
+    solve_gls(W, Y, S)
+    assert len(verdicts) == 2 * len(S) and floored_calls == [1, 2, 3] * 2
 
 
 @pytest.mark.parametrize("chunk", ["one", "two", "all"])
@@ -632,9 +658,9 @@ def test_oracle_arm_whitens_a_chunk_at_a_time():
     assert gls._WHITEN_BYTES < stack / 8
     tracemalloc.start()
     try:
-        est, var = simgen._fit_estimates("gls_oracle", Wobs, Y, P, Sig, None)
+        est, V = simgen._fit_estimates("gls_oracle", Wobs, Y, P, Sig, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.shape == var.shape == (400, 3)
+    assert est.shape == (400, 3) and V.shape == (400, 3, 3)
     assert peak < stack / 4, peak

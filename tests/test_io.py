@@ -6,10 +6,13 @@ draw manifests must list files whose sha256 matches what is on disk.
 """
 
 import csv
+import gc
 import hashlib
 import json
 import math
 import os
+import sys
+import warnings
 from io import StringIO
 from types import SimpleNamespace
 
@@ -185,6 +188,38 @@ def test_non_utf8_input_names_its_file(tmp_path, reader, text):
                     else (0xff, "invalid start byte"))
     assert str(err.value) == (f"{path}: not valid UTF-8 (byte {byte:#04x}: "
                               f"{reason})")
+
+
+@pytest.mark.parametrize("reader, data, message", [
+    (read_signature_tsv, None, "No such file or directory"),
+    (read_covariances_json, None, "No such file or directory"),
+    (read_pvalues_csv, None, "No such file or directory"),
+    (read_bulk_tsv, b"gene\ts1\ng1\t1.0\ng\xff2\t2.0\n",
+     "not valid UTF-8 (byte 0xff: invalid start byte)"),
+    (read_pvalues_csv,
+     b"draw_index,unit_id,cell_type,p_value\n0,u\xff,A,0.5\n",
+     "not valid UTF-8 (byte 0xff: invalid start byte)"),
+], ids=["missing-tsv", "missing-json", "missing-pvalues", "tsv-not-utf8",
+        "pvalues-not-utf8"])
+def test_file_errors_keep_their_message_and_close_the_file(
+        tmp_path, monkeypatch, reader, data, message):
+    # one mapping turns every reader's file errors into the ParseError text
+    # the CLI prints, and a file it opened is closed on the way out: an
+    # unclosed one would warn, as an error, when collected
+    path = tmp_path / "in.txt"
+    if data is not None:
+        path.write_bytes(data)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(ParseError) as err:
+            reader(str(path))
+        got = str(err.value)
+        del err
+        gc.collect()
+    assert got == f"{path}: {message}"
+    assert unraisable == []
 
 
 def test_load_estimates_round_trip_and_mismatch(tmp_path):

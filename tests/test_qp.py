@@ -265,7 +265,7 @@ def test_nearest_psd_clips_a_diagonal_without_lapack(p, case, monkeypatch):
         raise AssertionError("LAPACK called on a diagonal matrix")
 
     monkeypatch.setattr(qp, "eigh", lapack)
-    monkeypatch.setattr(qp, "cholesky", lapack)
+    monkeypatch.setattr(qp, "dpotrf", lapack)
     monkeypatch.setattr(np.linalg, "eigh", lapack)
     got = qp.nearest_psd(S)
     assert got.tobytes() == want.tobytes()
