@@ -39,7 +39,7 @@ class InsufficientSamples(DecalsError):
 
 
 class SingularSigma(DecalsError):
-    """A subject covariance has no usable positive scale (all eigenvalues <= 0)."""
+    """A subject covariance given to GLS whitening is not positive definite."""
 
 
 class NonPsd(DecalsError):

@@ -5,31 +5,25 @@ the iterative variant that re-estimates subject covariances between passes.
 stack (Y (p, n), Sigma (n, p, p)) and whiten it in chunks of about a MB. The
 stack is an array or a `covest.SubjectCovariances`, which keeps the model's
 Sigma_i = sum_k pi_ik^2 Sigma^(k) in its per-type form and forms one chunk's
-matrices at a time, so no (n, p, p) array is held. Each matrix then meets
-its own gate, `qp._is_pd`: Sigma_i - tau_i I, tau_i = g ||Sigma_i||_inf
-with g = `qp._PD_GATE` = 1e-10, must have a Cholesky factor. The max
-absolute row sum bounds the largest eigenvalue, so that proves the smallest
-lies above g times the largest, and the eigenvalue floor below, at the same
-g, could not act. Only then is Sigma_i = L_i L_i' factored and the sample
-whitened by L_i^{-1}. Any other Sigma_i is whitened by the symmetric
-inverse square root with eigenvalues floored at g times the largest, which
-keeps near-singular and even indefinite inputs runnable:
-diag(max(w, g max w))^{-1/2} Z' U', from
-the tridiagonal form Sigma_i = U T U', T = Z diag(w) Z', without forming the
-eigenvectors U Z (Golub & Van Loan, Matrix Computations, 8.3). Both give the
-same whitened problem wherever the floor is inactive, and since no matrix's
-path depends on its neighbours, a stacked call gives each sample the bytes
-of its one-sample call. The fit then solves every sample's whitened normal
+matrices at a time, so no (n, p, p) array is held. Each Sigma_i must be
+positive definite. It has to pass the gate `qp._is_pd` (Sigma_i - tau_i I,
+tau_i = 1e-10 ||Sigma_i||_inf, has a Cholesky factor); then Sigma_i = L_i
+L_i' is factored and the sample whitened by L_i^{-1}. Any other Sigma_i
+raises SingularSigma, naming it by its index in the stack. No matrix's path
+depends on its neighbours, so a stacked call gives each sample the bytes of
+its one-sample call. The fit then solves every sample's whitened normal
 equations in one stacked call of `qp.solve_simplex_normal`.
 
-This is a comparison arm. The iterative variant feeds the raw (uncorrected,
-unthresholded) covariance estimates back into the same whitening, as a
-SubjectCovariances, and keeps only the whitened normal equations for the
-next pass's fit; those raw estimates are routinely indefinite at moderate
-sample sizes, so most matrices take the floor. The floor inflates the
-inverse, and the reported uncertainty collapses. That failure mode is in
-scope: the module exists to quantify how much worse the whitened estimator
-behaves when its weight matrix must be estimated.
+This is a comparison arm. The iterative variant plugs estimated weights into
+the same whitening: each pass re-estimates the per-type covariances from its
+residuals by the raw (uncorrected, unthresholded) moment regression, projects
+each onto the PSD cone (`qp.nearest_psd`) and adds a ridge of 1e-6 times its
+mean diagonal, and hands them on as a SubjectCovariances. The raw estimates
+are routinely indefinite at moderate sample sizes; projection and ridge make
+the plug-in Sigma_i positive definite, not accurate, and the reported
+uncertainty still collapses. That failure mode is in scope: the module exists
+to quantify how much worse the whitened estimator behaves when its weight
+matrix must be estimated.
 """
 
 from __future__ import annotations
@@ -37,11 +31,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import lapack
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import (dormqr, dpotrf, dsbevd, dsytrd, dsytrd_lwork,
-                                 dtrtrs)
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from . import qp
 from .covest import DecalsResult, SubjectCovariances, cts_covariance_raw_all
@@ -54,45 +44,11 @@ from .errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
 # replicates (p=150, one core, one BLAS thread) the gls_oracle arm took
 # 146-158 ms at 256 KiB to 2 MiB and 213 ms at 4 MiB.
 _WHITEN_BYTES = 2 ** 20
-
-
-def _lapack(out, name, index):
-    """The outputs of a LAPACK wrapper, less its info, which must be zero."""
-    *values, info = out
-    if info:
-        raise LinAlgError(f"matrix {index}: LAPACK {name} returned {info}")
-    return values
-
-
-def _dstevd_band(d, e):
-    """dstevd's (w, Z, info) from dsbevd, which runs the same divide and
-    conquer on T stored as a band of width one, to the same bytes."""
-    return dsbevd(np.array([d, np.append(e, 0.0)[:len(d)]]), lower=1)
-
-
-# dstevd is wrapped only by scipy releases newer than the allowed 1.10
-dstevd = getattr(lapack, "dstevd", _dstevd_band)
-
-
-def _floor_whiten(Sc, Xi, i):
-    """Premultiply the Fortran-ordered Xi (p, c) in place by the floored
-    inverse square root of the symmetric, C-ordered Sc, which it overwrites,
-    without forming its eigenvectors Q = U Z: Sc = U T U' (dsytrd), T = Z
-    diag(w) Z' (dstevd), and Xi becomes diag(max(w, g max w))^{-1/2} Z'
-    U' Xi, with g = qp._PD_GATE. An error names Sc as matrix i."""
-    p = len(Sc)
-    c, d, e, tau = _lapack(dsytrd(Sc.T, lower=1, overwrite_a=1,
-                                  lwork=int(dsytrd_lwork(p, lower=1)[0])),
-                           "dsytrd", i)
-    if p > 1:                 # U = H_1 ... H_{p-1} acts on rows 2..p only
-        Xi[1:] = _lapack(dormqr("L", "T", c[1:, :-1], tau, Xi[1:],
-                                Xi.shape[1]), "dormqr", i)[0]
-    w, Z = _lapack(dstevd(d, e if p > 1 else np.zeros(1)), "dstevd", i)
-    if w[-1] <= 0.0:
-        raise SingularSigma(f"matrix {i}: subject covariance has no "
-                            "positive eigenvalue")
-    r = 1.0 / np.sqrt(np.maximum(w, qp._PD_GATE * w[-1]))
-    Xi[:] = r[:, None] * dgemm(1.0, Z, Xi, trans_a=1)
+# Ridge added to each projected per-type plug-in, relative to its mean
+# diagonal. Without it, 10 of 12 desk replicates (p=150, n=200, seed 0, 2
+# passes) met a plug-in Sigma_i that failed the gate; with it all 12 ran, at
+# coverage [0.220, 0.206, 0.338] and MAE [0.103, 0.105, 0.092] per type.
+_PLUGIN_RIDGE = 1e-6
 
 
 def _design(Wv, Yc, m):
@@ -107,9 +63,9 @@ def _design(Wv, Yc, m):
 
 
 def _whiten_chunk(Wv, S, Yc, first):
-    """`_design(Wv, Yc, m)` premultiplied by the whitening matrix of each of
-    the m subject covariances S[i], on the path its own gate picks (module
-    docstring). Errors name S[i] as matrix first + i."""
+    """`_design(Wv, Yc, m)` premultiplied by L_i^{-1}, Sigma_i = L_i L_i',
+    for each of the m subject covariances S[i] (module docstring). Errors
+    name S[i] as matrix first + i."""
     bad = ~np.isfinite(S).all(axis=(1, 2))
     if bad.any():
         raise NonFinite(f"matrix {first + int(np.argmax(bad))}: "
@@ -121,13 +77,11 @@ def _whiten_chunk(Wv, S, Yc, first):
     for i, (Si, Xi) in enumerate(zip(S, X), first):
         # C-ordered, so LAPACK works in place on Sc.T, which equals Sc
         Sc = 0.5 * np.add(Si, Si.T, order="C")
-        if qp._is_pd(Sc):
-            if not dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)[1]:
-                dtrtrs(Sc.T, Xi, lower=1, overwrite_b=1)
-                continue
-            # the factor failed part way and wrote over Sc: form it again
-            Sc = 0.5 * np.add(Si, Si.T, order="C")
-        _floor_whiten(Sc, Xi, i)
+        if (not qp._is_pd(Sc)
+                or dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)[1]):
+            raise SingularSigma(f"matrix {i}: subject covariance is not "
+                                "positive definite")
+        dtrtrs(Sc.T, Xi, lower=1, overwrite_b=1)
     return X
 
 
@@ -208,13 +162,14 @@ def gls_covariance(W, Sigma) -> np.ndarray:
 
 def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
                       ) -> DecalsResult:
-    """Alternate whitened fits and raw covariance re-estimation.
+    """Alternate whitened fits and plug-in covariance re-estimation.
 
     Pass t fits proportions with the previous pass's subject covariances
     (identity on the first pass, so pass one reproduces the plain constrained
-    fit), then re-estimates per-type covariances from the new residuals and
-    rebuilds per-sample covariances V. Stops when V stabilizes in relative
-    sup-norm or at max_iter (warning; last iterate returned)."""
+    fit), then re-estimates per-type covariances from the new residuals (raw
+    moments, PSD-projected, plus a ridge of _PLUGIN_RIDGE times the mean
+    diagonal) and rebuilds per-sample covariances V. Stops when V stabilizes
+    in relative sup-norm or at max_iter (warning; last iterate returned)."""
     Wv, Yv = _values(W), _values(Y)
     p = Wv.shape[0]
     if max_iter < 1:
@@ -231,7 +186,10 @@ def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
         iterations = t + 1
         est = (estimate_proportions(Wv, Yv) if A is None
                else qp.solve_simplex_normal(A, a))
-        Sk = cts_covariance_raw_all(est ** 2, Yv - Wv @ est.T)
+        Sk = np.stack([qp.nearest_psd(S) for S in
+                       cts_covariance_raw_all(est ** 2, Yv - Wv @ est.T)])
+        for S in Sk:
+            S.flat[::p + 1] += _PLUGIN_RIDGE * np.trace(S) / p
         A, a = _normal_equations(Wv, SubjectCovariances(est, Sk), Yv)
         V = _gls_cov(A, p)
         if Vprev is not None:

@@ -25,6 +25,7 @@ import math
 import os
 import tempfile
 from bisect import bisect_right
+from collections import Counter
 from contextlib import contextmanager
 from io import StringIO, TextIOWrapper
 from itertools import islice
@@ -359,6 +360,10 @@ def load_estimates(result_dir: str):
     cp = os.path.join(result_dir, "covariances.json")
     ids, cell_types, P = read_proportions_csv(pp)
     cids, ctypes2, covs = read_covariances_json(cp)
+    for path, names in ((pp, ids), (cp, cids)):
+        if len(set(names)) != len(names):
+            dup = next(s for s, c in Counter(names).items() if c > 1)
+            raise ParseError(f"{path}: duplicate sample id {dup!r}")
     if ids != cids or list(cell_types) != list(ctypes2):
         raise ParseError(f"{pp} and {cp} disagree on samples or cell types")
     return ids, cell_types, P, covs

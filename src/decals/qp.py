@@ -35,8 +35,8 @@ from .errors import DimensionMismatch, MaxIterations, NonFinite, SingularDesign
 
 # Relative eigenvalue threshold below which W'W counts as singular.
 _COND_FLOOR = 1e-10
-# _is_pd's shift, relative to ||S||_inf; also gls's eigenvalue floor, which
-# must equal it for the gate to prove that the floor cannot act.
+# _is_pd's shift, relative to ||S||_inf; gls whitens only the subject
+# covariances that pass it.
 _PD_GATE = 1e-10
 # The active set loop ends once every entry is at least this; the negative
 # dust left is clamped to zero before normalizing.

@@ -229,9 +229,15 @@ def replicate_dataset(config: SimConfig, rng):
     return W, Wobs, P, Y, Sig
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
     """Run one method; return its point estimates (n, K) and sampling
     covariances (n, K, K) at the estimate's scale."""
+    _check_method(method)
     p, K = Wobs.shape
     if method == "ols":
         # the iid-error covariance s2_i (W'W)^{-1}, s2_i = RSS_i / (p - K),
@@ -247,7 +253,7 @@ def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
         Kmats = SubjectCovariances(P, Sig)
         est = solve_gls(Wobs, Y, Kmats)
         V = gls_covariance(Wobs, Kmats) / p
-    elif method in ("decals", "decals_uncorrected", "gls_estimated"):
+    else:                        # decals, decals_uncorrected, gls_estimated
         opts = dict(options or {})
         if method == "gls_estimated":
             res = run_gls_iterative(Wobs, Y, **opts)
@@ -255,8 +261,6 @@ def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
             opts.setdefault("correct", method == "decals")
             res = run_decals(Wobs, Y, **opts)
         est, V = res.proportions, res.covariances
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return est, V
 
 
@@ -313,8 +317,7 @@ def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
     Oracle variants receive the true subject covariances. Failing replicates
     are recorded and skipped, not fatal. Replicate r draws from substream
     (config.seed, r), so fewer replicates repeat a longer run's first ones."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     reps = range(config.replicates)
     jobs = [(config, method, r, level, method_options) for r in reps]
     results = _map_jobs(_replicate_worker, jobs, resolve_workers(workers))
@@ -394,6 +397,8 @@ def v_error_study(p_values=(150, 300), signature_sds=(1.0, 2.0), *,
     replicates of every grid cell run in `workers` processes (see
     resolve_workers); the table does not depend on their number.
     """
+    for method in methods:
+        _check_method(method)
     K = 3
     entries = [(l, m) for l in range(K) for m in range(l, K)]
     table = VErrorTable(entries)

@@ -337,6 +337,34 @@ def test_deconvolve_rejects_a_repeated_sample_id(noiseless_data, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("files", ["both", "covariances"])
+def test_sample_rejects_a_repeated_sample_id(noiseless_data, tmp_path, capsys,
+                                             files):
+    # row 2 repeats s00 in covariances.json, and in proportions.csv too for
+    # "both"; each file is checked on its own, proportions.csv first
+    root, _, _ = noiseless_data
+    res = tmp_path / "res"
+    assert _deconvolve(root, res) == EXIT_OK
+    if files == "both":
+        path = res / "proportions.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "s00," + lines[2].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+    cov = res / "covariances.json"
+    obj = json.loads(cov.read_text())
+    obj["sample_ids"][1] = "s00"
+    cov.write_text(json.dumps(obj))
+    named = res / ("proportions.csv" if files == "both" else
+                   "covariances.json")
+    draws_dir = tmp_path / "draws"
+    code = main(["sample", "--results", str(res), "--draws", "3",
+                 "--out", str(draws_dir)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {named}: duplicate sample id 's00'\n")
+    assert not draws_dir.exists()
+
+
 def test_sample_missing_results_dir(tmp_path, capsys):
     code = main(["sample", "--results", str(tmp_path / "nope"),
                  "--draws", "2", "--out", str(tmp_path / "d")])

@@ -252,6 +252,23 @@ def test_coverage_experiment_rejects_unknown_method():
         coverage_experiment(SimConfig(p=30, n=20, replicates=1), "magic")
 
 
+def test_v_error_study_rejects_an_unknown_method_before_any_fit(
+        monkeypatch):
+    # checked up front, with coverage_experiment's message, not once the
+    # first replicate's other fits have run
+    calls = []
+    monkeypatch.setattr(simgen, "_fit_estimates",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError) as want:
+        coverage_experiment(SimConfig(p=30, n=20, replicates=1), "magic")
+    with pytest.raises(ValueError) as got:
+        v_error_study(methods=("decals", "magic"), p_values=(30,),
+                      signature_sds=(1.0,), n=20, replicates=1)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("unknown method 'magic'; expected one ")
+    assert calls == []
+
+
 def test_v_error_study_structure():
     table = v_error_study(p_values=(30,), signature_sds=(1.0,),
                           n=40, replicates=2, seed=3)
