@@ -7,7 +7,8 @@ stack is an array or a `covest.SubjectCovariances`, which keeps the model's
 Sigma_i = sum_k pi_ik^2 Sigma^(k) in its per-type form and forms one chunk's
 matrices at a time, so no (n, p, p) array is held. Each Sigma_i must be
 positive definite. It has to pass the gate `qp._is_pd` (Sigma_i - tau_i I,
-tau_i = 1e-10 ||Sigma_i||_inf, has a Cholesky factor); then Sigma_i = L_i
+tau_i = 1e-10 ||Sigma_i||_inf, has a Cholesky factor) or be proven to pass
+it from its per-type form, sparing the gate's factor; then Sigma_i = L_i
 L_i' is factored and the sample whitened by L_i^{-1}. Any other Sigma_i
 raises SingularSigma, naming it by its index in the stack. No matrix's path
 depends on its neighbours, so a stacked call gives each sample the bytes of
@@ -42,7 +43,7 @@ from .errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
 # Bytes of (chunk, p, p) subject covariances whitened at a time. A chunk is
 # the only stack whitening holds, and its buffers stay in cache: on desk
 # replicates (p=150, one core, one BLAS thread) the gls_oracle arm took
-# 146-158 ms at 256 KiB to 2 MiB and 213 ms at 4 MiB.
+# 65-70 ms at 512 KiB to 2 MiB, 71-72 ms at 256 KiB and 71-89 ms at 4 MiB.
 _WHITEN_BYTES = 2 ** 20
 # Ridge added to each projected per-type plug-in, relative to its mean
 # diagonal. Without it, 10 of 12 desk replicates (p=150, n=200, seed 0, 2
@@ -62,10 +63,31 @@ def _design(Wv, Yc, m):
     return X
 
 
-def _whiten_chunk(Wv, S, Yc, first):
+def _proven(S) -> np.ndarray:
+    """Which samples of S provably pass the gate qp._is_pd, unasked: those
+    of a SubjectCovariances with finite, exactly symmetric C_k (so einsum
+    forms exactly symmetric Sigma_i) whose weights w = pi**2 sit only on
+    types whose C_k - s_k I factors, s_k = (2 _PD_GATE + 11 p^2 eps) nu_k,
+    nu_k = ||C_k||_inf. Cholesky's backward error is below 3 p^2 eps nu_k,
+    so lambda_min(C_k) >= mu_k = (2 _PD_GATE + 8 p^2 eps) nu_k. By Weyl,
+    lambda_min(fl(Sigma_i) - tau_i I) >= sum_k w_k mu_k - K eps N - tau_i >
+    4 p^2 eps N, N = sum_k w_k nu_k (K eps N bounds einsum's rounding, tau_i
+    <= _PD_GATE N), so Cholesky runs to completion (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thms 10.3, 10.7; Demmel)."""
+    if not (isinstance(S, SubjectCovariances) and np.isfinite(S.cts).all()
+            and np.array_equal(S.cts, S.cts.swapaxes(1, 2))):
+        return np.zeros(len(S), dtype=bool)
+    w, p = S.proportions ** 2, S.shape[1]
+    s = 2 * qp._PD_GATE + 11 * p * p * 2.0 ** -52
+    bad = [dpotrf(c - s * np.abs(c).sum(axis=1).max() * np.eye(p))[1] != 0
+           for c in S.cts]
+    return (w.sum(axis=1) > 0) & (w[:, bad] == 0).all(axis=1)
+
+
+def _whiten_chunk(Wv, S, Yc, first, proven):
     """`_design(Wv, Yc, m)` premultiplied by L_i^{-1}, Sigma_i = L_i L_i',
-    for each of the m subject covariances S[i] (module docstring). Errors
-    name S[i] as matrix first + i."""
+    for each of the m subject covariances S[i] (module docstring), of which a
+    proven one is factored in place. Errors name S[i] as matrix first + i."""
     bad = ~np.isfinite(S).all(axis=(1, 2))
     if bad.any():
         raise NonFinite(f"matrix {first + int(np.argmax(bad))}: "
@@ -74,14 +96,15 @@ def _whiten_chunk(Wv, S, Yc, first):
     # 1.15 on), all of it scipy's: numpy and scipy each bundle an OpenBLAS
     # with its own thread pool, and alternating made each wait on the other.
     X = _design(Wv, Yc, len(S))
-    for i, (Si, Xi) in enumerate(zip(S, X), first):
-        # C-ordered, so LAPACK works in place on Sc.T, which equals Sc
-        Sc = 0.5 * np.add(Si, Si.T, order="C")
-        if (not qp._is_pd(Sc)
-                or dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)[1]):
+    for i, (Si, Xi, ok) in enumerate(zip(S, X, proven), first):
+        # Sc.T equals Sc; LAPACK factors a C-ordered Sc in place
+        Sc = Si if ok else 0.5 * np.add(Si, Si.T, order="C")
+        L, info = (dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)
+                   if ok or qp._is_pd(Sc) else (None, 1))
+        if info:
             raise SingularSigma(f"matrix {i}: subject covariance is not "
                                 "positive definite")
-        dtrtrs(Sc.T, Xi, lower=1, overwrite_b=1)
+        dtrtrs(L, Xi, lower=1, overwrite_b=1)
     return X
 
 
@@ -95,9 +118,11 @@ def _normal_equations(Wv, S, Y=None):
     A = np.empty((n, K, K))
     a = np.empty((n, K))
     size = max(1, _WHITEN_BYTES // (p * p * 8))
+    proven = _proven(S)
     for start in range(0, n, size):
         sl = slice(start, min(start + size, n))
-        X = _whiten_chunk(Wv, S[sl], None if Y is None else Y[:, sl], start)
+        X = _whiten_chunk(Wv, S[sl], None if Y is None else Y[:, sl], start,
+                          proven[sl])
         M = X.transpose(0, 2, 1) @ X
         A[sl] = M[:, :K, :K]
         if Y is not None:

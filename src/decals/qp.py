@@ -36,7 +36,7 @@ from .errors import DimensionMismatch, MaxIterations, NonFinite, SingularDesign
 # Relative eigenvalue threshold below which W'W counts as singular.
 _COND_FLOOR = 1e-10
 # _is_pd's shift, relative to ||S||_inf; gls whitens only the subject
-# covariances that pass it.
+# covariances that pass it or that gls._proven shows would pass it.
 _PD_GATE = 1e-10
 # The active set loop ends once every entry is at least this; the negative
 # dust left is clamped to zero before normalizing.

@@ -557,19 +557,35 @@ def test_iteration_names_the_sample_without_a_positive_eigenvalue(
         run_gls_iterative(W, Y, max_iter=1)
 
 
+def _count_gates(monkeypatch):
+    """The verdicts of the qp._is_pd calls made from here on."""
+    real, verdicts = qp._is_pd, []
+
+    def counting(M):
+        verdicts.append(real(M))
+        return verdicts[-1]
+
+    monkeypatch.setattr(qp, "_is_pd", counting)
+    return verdicts
+
+
 @pytest.mark.parametrize("r", range(4))
-def test_per_type_stack_gives_the_materialised_results_bytewise(r):
-    # desk replicates of the gls_oracle arm
+def test_per_type_stack_gives_the_materialised_results_bytewise(
+        r, monkeypatch):
+    # desk replicates of the gls_oracle arm: the per-type form proves every
+    # matrix, so no gate is asked, and the bytes are the gated array's
     _, Wobs, P, Y, Sig = replicate_dataset(SimConfig(), replicate_rng(0, r))
     S = SubjectCovariances(P, Sig)
     full = subject_covariance(P, Sig)
     assert S.shape == full.shape and len(S) == len(full)
     assert S[5:9].tobytes() == full[5:9].tobytes()
     assert S[7].tobytes() == full[7].tobytes()
-    assert (solve_gls(Wobs, Y, S).tobytes()
-            == solve_gls(Wobs, Y, full).tobytes())
-    assert (gls_covariance(Wobs, S).tobytes()
-            == gls_covariance(Wobs, full).tobytes())
+    gates = _count_gates(monkeypatch)
+    got = solve_gls(Wobs, Y, S).tobytes(), gls_covariance(Wobs, S).tobytes()
+    assert gates == []
+    assert got == (solve_gls(Wobs, Y, full).tobytes(),
+                   gls_covariance(Wobs, full).tobytes())
+    assert gates == [True] * (2 * len(full))
 
 
 def _error(fn, *args):
@@ -605,6 +621,100 @@ def test_per_type_stack_errors_match_the_materialised_ones(monkeypatch):
         assert want == (DimensionMismatch,
                         "subject covariance (7, 10, 10) does not match p=9")
         assert _error(fn, *args, SubjectCovariances(P, Sig)) == want
+
+
+def _gated_types(rng, p, cs):
+    """Exactly symmetric per-type covariances, the k-th with its smallest
+    eigenvalue at cs[k] times the gate's shift _PD_GATE ||C_k||_inf, at
+    scales 2^-10 to 2^9."""
+    out = []
+    for c in cs:
+        C = _spectrum_cov(rng, np.linspace(0.0, 1.0, p))
+        C = 0.5 * (C + C.T)
+        g = c * qp._PD_GATE
+        # C's diagonal is positive, so ||C + t I||_inf = ||C||_inf + t
+        C.flat[::p + 1] += g * np.abs(C).sum(axis=1).max() / (1.0 - g)
+        out.append(2.0 ** rng.integers(-10, 10) * C)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("p", [10, 150])
+def test_the_certificate_admits_only_what_the_gate_passes(p):
+    # per-type smallest eigenvalues at 0 to 1e3 times the gate's shift; no
+    # type (a zero Sigma_i), flat Dirichlet weights over all six types and
+    # over the last three, spiky ones over the last two, each type alone
+    rng = np.random.default_rng(26)
+    C = _gated_types(rng, p, [0.0, 0.5, 1.0, 2.0, 10.0, 1e3])
+    P = np.zeros((37, 6))
+    P[1:11] = rng.dirichlet(np.ones(6), 10)
+    P[11:21, 3:] = rng.dirichlet(np.ones(3), 10)
+    P[21:31, 4:] = rng.dirichlet(np.full(2, 0.2), 10)
+    P[31:] = np.eye(6)
+    S = SubjectCovariances(P, C)
+    proven = gls._proven(S)
+    for i in np.flatnonzero(proven):
+        assert qp._is_pd(S[i]), i
+        assert_array_equal(S[i], S[i].T)
+    assert proven.any() and not proven.all()
+    # a type is proven only well above twice the shift, and a mixture only
+    # when all its types are
+    want = np.zeros(37, dtype=bool)
+    want[21:31] = want[35:] = True
+    assert_array_equal(proven, want)
+    # a plain array is never proven
+    assert not gls._proven(S[:]).any()
+
+
+def test_per_type_stack_falls_back_to_the_gate(monkeypatch):
+    # matrices the per-type form does not prove take the gate, once each,
+    # and give the materialised array's bytes and errors
+    rng = np.random.default_rng(27)
+    p, n = 10, 9
+    W, _ = _design(rng, p=p)
+    P = np.zeros((n, 3))
+    P[:, 1:] = rng.dirichlet([2, 1], n)
+    Y = W @ P.T + rng.normal(0, 1, (p, n))
+    Sig = np.stack([_rand_cov(rng, p) for _ in range(3)])
+    assert all(np.array_equal(C, C.T) for C in Sig)
+    monkeypatch.setattr(gls, "_WHITEN_BYTES", 2 * p * p * 8)
+    gates = _count_gates(monkeypatch)
+
+    def bytewise(S, uncertified):
+        assert_array_equal(np.flatnonzero(~gls._proven(S)), uncertified)
+        full = S[:]
+        gates.clear()
+        got = solve_gls(W, Y, S).tobytes(), gls_covariance(W, S).tobytes()
+        assert gates == [True] * (2 * len(uncertified))
+        assert got == (solve_gls(W, Y, full).tobytes(),
+                       gls_covariance(W, full).tobytes())
+
+    bytewise(SubjectCovariances(P, Sig), [])
+    # one entry of one C_k a unit in the last place off symmetry
+    odd = Sig.copy()
+    odd[1, 2, 5] = np.nextafter(odd[1, 2, 5], np.inf)
+    bytewise(SubjectCovariances(P, odd), range(n))
+    # a type at twice the gate's shift, alone in samples 1 and 6 and mixed
+    # in sample 3
+    P2 = P.copy()
+    P2[[1, 6]] = [1.0, 0.0, 0.0]
+    P2[3] = [0.5, 0.3, 0.2]
+    bytewise(SubjectCovariances(P2, np.concatenate(
+        [_gated_types(rng, p, [2.0]), Sig[1:]])), [1, 3, 6])
+    # a singular C_k, mixed in sample 2, which the gate passes, and alone in
+    # sample 4, which it refuses
+    sing = Sig.copy()
+    A = rng.normal(0, 1, (p, p - 2))
+    sing[0] = 0.5 * (A @ A.T + (A @ A.T).T)
+    P[2] = [0.5, 0.3, 0.2]
+    P[4] = [1.0, 0.0, 0.0]
+    S3 = SubjectCovariances(P, sing)
+    for fn, args in ((solve_gls, (W, Y)), (gls_covariance, (W,))):
+        want = _error(fn, *args, S3[:])
+        assert want == (SingularSigma, "matrix 4: subject covariance is not "
+                        "positive definite")
+        gates.clear()
+        assert _error(fn, *args, S3) == want
+        assert gates == [True, False]
 
 
 def test_oracle_arm_whitens_a_chunk_at_a_time():
