@@ -149,7 +149,7 @@ def _print_report(report) -> None:
 def cmd_simulate(args) -> int:
     _check_fraction("--level", args.level)
     _check_min("--seed", args.seed, 0)
-    _check_min("--gls-max-iter", args.gls_max_iter, 1)
+    _check_min("--gls-max-iter", args.gls_max_iter, 2)
     if args.replicates is not None:
         _check_min("--replicates", args.replicates, 1)
     if args.workers is not None:
@@ -290,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replicate worker processes (default "
                         "$DECALS_WORKERS or 1)")
     s.add_argument("--gls-max-iter", type=int, default=2,
-                   help="iteration cap for the estimated-GLS arm (its "
-                        "fixed point does not converge; kept small for "
-                        "runtime)")
+                   help="fits of the estimated-GLS arm, each whitened by "
+                        "the previous fit's plug-in (default 2: two-step "
+                        "feasible GLS)")
     s.set_defaults(func=cmd_simulate)
 
     m = sub.add_parser(

@@ -142,13 +142,18 @@ def sandwich(W, S, H) -> np.ndarray:
     return 0.5 * (V + V.transpose(0, 2, 1))
 
 
+def _check_level(level: float) -> None:
+    """Refuse a confidence level outside (0, 1), NaN included."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0,1), got {level}")
+
+
 def wald_intervals(P, var, level: float):
     """Wald intervals estimate +- z * sd, truncated to [0, 1].
 
     P and var (per-coordinate variances, negatives read as 0) share any
     shape; returns (lower, upper) of that shape."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
+    _check_level(level)
     z = ndtri(0.5 * (1.0 + level))
     half = z * np.sqrt(np.clip(var, 0.0, None))
     return np.clip(P - half, 0.0, 1.0), np.clip(P + half, 0.0, 1.0)

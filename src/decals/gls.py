@@ -1,5 +1,5 @@
 """Constrained generalized least squares: whitened fits, their covariance, and
-the iterative variant that re-estimates subject covariances between passes.
+the feasible variant that whitens by covariances estimated from residuals.
 
 `solve_gls` and `gls_covariance` take one sample (y (p,), Sigma (p, p)) or a
 stack (Y (p, n), Sigma (n, p, p)) and whiten it in chunks of about a MB. The
@@ -15,21 +15,20 @@ depends on its neighbours, so a stacked call gives each sample the bytes of
 its one-sample call. The fit then solves every sample's whitened normal
 equations in one stacked call of `qp.solve_simplex_normal`.
 
-This is a comparison arm. The iterative variant plugs estimated weights into
-the same whitening: each pass re-estimates the per-type covariances from its
-residuals by the raw (uncorrected, unthresholded) moment regression, projects
-each onto the PSD cone (`qp.nearest_psd`) and adds a ridge of 1e-6 times its
-mean diagonal, and hands them on as a SubjectCovariances. The raw estimates
-are routinely indefinite at moderate sample sizes; projection and ridge make
-the plug-in Sigma_i positive definite, not accurate, and the reported
-uncertainty still collapses. That failure mode is in scope: the module exists
-to quantify how much worse the whitened estimator behaves when its weight
-matrix must be estimated.
+This is a comparison arm. The feasible variant plugs estimated weights into
+the same whitening: from a fit's residuals it estimates the per-type
+covariances by the raw (uncorrected, unthresholded) moment regression,
+projects each onto the PSD cone (`qp.nearest_psd`), adds a ridge of 1e-6
+times its mean diagonal, and whitens the next fit, and that fit's covariance,
+by them as a SubjectCovariances. The raw estimates are routinely indefinite
+at moderate sample sizes; projection and ridge make the plug-in Sigma_i
+positive definite, not accurate, and the reported uncertainty still
+collapses. That failure mode is in scope: the module exists to quantify how
+much worse the whitened estimator behaves when its weight matrix must be
+estimated.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -37,8 +36,8 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from . import qp
 from .covest import DecalsResult, SubjectCovariances, cts_covariance_raw_all
 from .deconv import estimate_proportions, _values
-from .errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
-                     SingularDesign, SingularSigma)
+from .errors import (DimensionMismatch, NonFinite, SingularDesign,
+                     SingularSigma)
 
 # Bytes of (chunk, p, p) subject covariances whitened at a time. A chunk is
 # the only stack whitening holds, and its buffers stay in cache: on desk
@@ -47,8 +46,8 @@ from .errors import (DimensionMismatch, NonConvergenceWarning, NonFinite,
 _WHITEN_BYTES = 2 ** 20
 # Ridge added to each projected per-type plug-in, relative to its mean
 # diagonal. Without it, 10 of 12 desk replicates (p=150, n=200, seed 0, 2
-# passes) met a plug-in Sigma_i that failed the gate; with it all 12 ran, at
-# coverage [0.220, 0.206, 0.338] and MAE [0.103, 0.105, 0.092] per type.
+# fits) met a plug-in Sigma_i that failed the gate; with it all 12 ran, at
+# coverage [0.214, 0.225, 0.369] and MAE [0.103, 0.105, 0.092] per type.
 _PLUGIN_RIDGE = 1e-6
 
 
@@ -185,49 +184,26 @@ def gls_covariance(W, Sigma) -> np.ndarray:
     return V[0] if single else V
 
 
-def run_gls_iterative(W, Y, *, max_iter: int = 50, tol: float = 1e-4
-                      ) -> DecalsResult:
-    """Alternate whitened fits and plug-in covariance re-estimation.
+def run_gls_iterative(W, Y, *, max_iter: int = 2) -> DecalsResult:
+    """Feasible GLS in max_iter fits.
 
-    Pass t fits proportions with the previous pass's subject covariances
-    (identity on the first pass, so pass one reproduces the plain constrained
-    fit), then re-estimates per-type covariances from the new residuals (raw
+    Fit 1 is the plain constrained fit (`estimate_proportions`). Each later
+    fit is whitened by a plug-in from the previous fit's residuals (raw
     moments, PSD-projected, plus a ridge of _PLUGIN_RIDGE times the mean
-    diagonal) and rebuilds per-sample covariances V. Stops when V stabilizes
-    in relative sup-norm or at max_iter (warning; last iterate returned)."""
+    diagonal). The returned estimate, its covariance and cts_covariances all
+    belong to the last plug-in. max_iter=2 is the two-step feasible GLS
+    (Carroll, Wu & Ruppert, JASA 83:1045, 1988). No convergence test runs:
+    iterations is max_iter and converged is False."""
     Wv, Yv = _values(W), _values(Y)
     p = Wv.shape[0]
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not tol > 0.0:                        # NaN or <= 0 never converges
-        raise ValueError(f"tol must be > 0, got {tol}")
-    run_warnings: list[str] = []
-
-    A = a = None  # last pass's W' Sigma_i^{-1} W, W' Sigma_i^{-1} y_i
-    Vprev = None
-    converged = False
-    iterations = 0
-    for t in range(max_iter):
-        iterations = t + 1
-        est = (estimate_proportions(Wv, Yv) if A is None
-               else qp.solve_simplex_normal(A, a))
+    if max_iter < 2:
+        raise ValueError(f"max_iter must be at least 2, got {max_iter}")
+    est = estimate_proportions(Wv, Yv)
+    for _ in range(max_iter - 1):
         Sk = np.stack([qp.nearest_psd(S) for S in
                        cts_covariance_raw_all(est ** 2, Yv - Wv @ est.T)])
         for S in Sk:
             S.flat[::p + 1] += _PLUGIN_RIDGE * np.trace(S) / p
         A, a = _normal_equations(Wv, SubjectCovariances(est, Sk), Yv)
-        V = _gls_cov(A, p)
-        if Vprev is not None:
-            delta = (np.abs(V - Vprev).max(axis=(1, 2))
-                     / (1.0 + np.abs(Vprev).max(axis=(1, 2)))).max()
-            if delta < tol:
-                converged = True
-                break
-        Vprev = V
-    if not converged and max_iter > 1:
-        msg = f"no convergence after {iterations} iterations"
-        run_warnings.append(msg)
-        warnings.warn(msg, NonConvergenceWarning)
-
-    return DecalsResult(est, V / p, Sk, iterations, converged, None,
-                        run_warnings)
+        est = qp.solve_simplex_normal(A, a)
+    return DecalsResult(est, _gls_cov(A, p) / p, Sk, max_iter, False)

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.special import gammaincinv, ndtr
 
 from .covest import SubjectCovariances, run_decals
-from .deconv import estimate_proportions, sandwich, wald_intervals
+from .deconv import (estimate_proportions, sandwich, wald_intervals,
+                     _check_level)
 from .errors import (DecalsError, DimensionMismatch, DivisibilityError,
                      NonPositiveMean, NonPsd)
 from .gls import gls_covariance, run_gls_iterative, solve_gls
@@ -318,6 +319,7 @@ def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
     are recorded and skipped, not fatal. Replicate r draws from substream
     (config.seed, r), so fewer replicates repeat a longer run's first ones."""
     _check_method(method)
+    _check_level(level)
     reps = range(config.replicates)
     jobs = [(config, method, r, level, method_options) for r in reps]
     results = _map_jobs(_replicate_worker, jobs, resolve_workers(workers))

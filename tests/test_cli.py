@@ -235,8 +235,8 @@ def test_sample_rejects_negative_seed(noiseless_data, tmp_path, capsys):
     (["aggregate", "--pvalues", "{missing}", "--draws", "0",
       "--out", "{out}"], "--draws must be >= 1, got 0"),
     (["simulate", "--preset", "fig2", "--replicates", "1",
-      "--gls-max-iter", "0", "--out", "{out}"],
-     "--gls-max-iter must be >= 1, got 0"),
+      "--gls-max-iter", "1", "--out", "{out}"],
+     "--gls-max-iter must be >= 2, got 1"),
     (["simulate", "--preset", "fig2", "--replicates", "0", "--out", "{out}"],
      "--replicates must be >= 1, got 0"),
     (["simulate", "--preset", "fig2", "--replicates", "1", "--workers", "0",
@@ -448,6 +448,21 @@ def test_simulate_fig4_smoke(tmp_path, capsys):
     assert len(plot) == 1 + 2 * 3
     table = capsys.readouterr().out
     assert "ols" in table and "decals" in table
+
+
+def test_simulate_fig2_runs_the_benchmark_command(tmp_path, capsys):
+    # the simulate command line the benchmark runs, at one replicate
+    out = tmp_path / "sim"
+    code = main(["simulate", "--preset", "fig2", "--scale", "desk",
+                 "--replicates", "1", "--seed", "0", "--workers", "1",
+                 "--gls-max-iter", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    reports = sorted(out.glob("report_*.json"))
+    assert len(reports) == 4
+    for path in reports:
+        assert json.loads(path.read_text())["failures"] == [], path.name
+    assert (out / "plot_fig2.csv").is_file()
+    capsys.readouterr()
 
 
 def test_simulate_rejects_bad_level_before_writing(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Generalized-least-squares arm: whitening, covariance, iteration."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from decals import gls, qp, simgen
 from decals.covest import (SubjectCovariances, cts_covariance_raw_all,
                            subject_covariance)
 from decals.deconv import estimate_proportions
-from decals.errors import (DecalsError, DimensionMismatch,
-                           NonConvergenceWarning, NonFinite, SingularDesign,
-                           SingularSigma)
+from decals.errors import (DecalsError, DimensionMismatch, NonFinite,
+                           SingularDesign, SingularSigma)
 from decals.gls import gls_covariance, run_gls_iterative, solve_gls
 from decals.simgen import SimConfig, replicate_dataset, replicate_rng
 
@@ -108,45 +106,28 @@ def _sim(rng, p=36, K=3, n=25, noise=0.5):
 
 
 def test_one_pass_equals_constrained_ls():
-    # the first pass fits with the identity weighting
+    # the first fit is the plain constrained fit: one fit alone is no
+    # feasible GLS, and the second fit's plug-in comes from its residuals
     rng = np.random.default_rng(7)
     W, P, Y = _sim(rng)
-    res = run_gls_iterative(W, Y, max_iter=1)
+    with pytest.raises(ValueError,
+                       match="^max_iter must be at least 2, got 1$"):
+        run_gls_iterative(W, Y, max_iter=1)
+    res = run_gls_iterative(W, Y, max_iter=2)
     ref = estimate_proportions(W, Y)
-    assert_allclose(res.proportions, ref, atol=1e-10)
-    assert res.iterations == 1
-    assert res.lambdas is None
-
-
-def test_iteration_warns_without_convergence():
-    # n > p: with fewer samples than genes the plug-in V is tiny (about
-    # 1e-6) and its changes fall under tol relative to 1 + |V|
-    rng = np.random.default_rng(8)
-    W, P, Y = _sim(rng, n=60)
-    with pytest.warns(NonConvergenceWarning):
-        res = run_gls_iterative(W, Y, max_iter=2, tol=1e-12)
+    want = [_plug_in(S) for S in cts_covariance_raw_all(ref ** 2,
+                                                        Y - W @ ref.T)]
+    assert_allclose(res.cts_covariances, want, rtol=1e-10, atol=1e-15)
     assert res.iterations == 2
     assert not res.converged
-    assert res.proportions.min() >= 0
-    assert np.abs(res.proportions.sum(axis=1) - 1).max() < 1e-10
-    assert np.isfinite(res.covariances).all()
-
-
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-4])
-def test_iteration_rejects_tol_that_never_converges(tol):
-    rng = np.random.default_rng(8)
-    W, P, Y = _sim(rng)
-    with pytest.raises(ValueError, match=f"tol must be > 0, got {tol}"):
-        run_gls_iterative(W, Y, tol=tol)
+    assert res.lambdas is None
 
 
 def test_iteration_determinism():
     rng = np.random.default_rng(9)
     W, P, Y = _sim(rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        r1 = run_gls_iterative(W, Y, max_iter=2, tol=1e-12)
-        r2 = run_gls_iterative(W, Y, max_iter=2, tol=1e-12)
+    r1 = run_gls_iterative(W, Y, max_iter=2)
+    r2 = run_gls_iterative(W, Y, max_iter=2)
     assert_allclose(r1.proportions[3], r2.proportions[3], atol=0)
     assert_allclose(r1.covariances[3], r2.covariances[3], atol=0)
 
@@ -420,31 +401,26 @@ def _plug_in(S):
 
 
 def _old_run_gls_iterative(W, Y, max_iter):
-    """The iteration as it was written before the fit reused the covariance
-    step's W' Sigma^{-1} W, whitening by eigendecompositions: per pass,
-    (proportions, V / p, Sk)."""
+    """The feasible GLS as it was written before the fit reused the
+    covariance step's W' Sigma^{-1} W, whitening by eigendecompositions:
+    (proportions, V / p, Sk) of the last fit, whose whitening by the plug-in
+    Sk also gives V, and the proportions Sk was estimated from."""
     n = Y.shape[1]
     p = W.shape[0]
-    eig = None
-    for t in range(max_iter):
-        if eig is None:
-            est = estimate_proportions(W, Y)
-        else:
-            w, Q = eig
-            rw = 1.0 / np.sqrt(w)
-            QtW = Q.transpose(0, 2, 1) @ W
-            Ww = rw[:, :, None] * QtW
-            yw = rw * np.einsum('mqp,qm->mp', Q, Y)
-            G = Ww.transpose(0, 2, 1) @ Ww
-            a = np.einsum('mpk,mp->mk', Ww, yw)
-            est = np.stack([qp.solve_simplex_normal(G[i], a[i])
-                            for i in range(n)])
+    est = estimate_proportions(W, Y)
+    for t in range(max_iter - 1):
+        prev = est
         Sk = np.stack([_plug_in(S) for S in
-                       cts_covariance_raw_all(est ** 2, Y - W @ est.T)])
-        eig = w, Q = np.linalg.eigh(subject_covariance(est, Sk))
-        QtW = Q.transpose(0, 2, 1) @ W
-        V = gls._gls_cov(QtW.transpose(0, 2, 1) @ (QtW / w[:, :, None]), p)
-    return est, V / p, Sk
+                       cts_covariance_raw_all(prev ** 2, Y - W @ prev.T)])
+        w, Q = np.linalg.eigh(subject_covariance(prev, Sk))
+        rw = 1.0 / np.sqrt(w)
+        Ww = rw[:, :, None] * (Q.transpose(0, 2, 1) @ W)
+        yw = rw * np.einsum('mqp,qm->mp', Q, Y)
+        G = Ww.transpose(0, 2, 1) @ Ww
+        a = np.einsum('mpk,mp->mk', Ww, yw)
+        est = np.stack([qp.solve_simplex_normal(G[i], a[i])
+                        for i in range(n)])
+    return est, gls._gls_cov(G, p) / p, Sk, prev
 
 
 def _sim_by_type(rng, p, n, K=3):
@@ -457,7 +433,7 @@ def _sim_by_type(rng, p, n, K=3):
     return W, W @ P.T + E
 
 
-@pytest.mark.parametrize("passes", [1, 2, 3])
+@pytest.mark.parametrize("passes", [2, 3])
 def test_iteration_matches_the_inline_loop_where_the_floor_is_inactive(passes):
     # Many samples per gene and noise from the model: every raw per-type
     # estimate is positive definite, so the projection's eigenvalue floor at
@@ -465,20 +441,18 @@ def test_iteration_matches_the_inline_loop_where_the_floor_is_inactive(passes):
     # reused products must give the old loop's numbers at a flat rtol.
     rng = np.random.default_rng(20)
     W, Y = _sim_by_type(rng, p=6, n=400)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = run_gls_iterative(W, Y, max_iter=passes, tol=1e-300)
-    want = _old_run_gls_iterative(W, Y, passes)
-    raw = cts_covariance_raw_all(want[0] ** 2, Y - W @ want[0].T)
+    res = run_gls_iterative(W, Y, max_iter=passes)
+    *want, prev = _old_run_gls_iterative(W, Y, passes)
+    raw = cts_covariance_raw_all(prev ** 2, Y - W @ prev.T)
     assert (np.linalg.eigvalsh(raw)[:, 0] > 0.0).all()
-    w = np.linalg.eigvalsh(subject_covariance(want[0], want[2]))
+    w = np.linalg.eigvalsh(subject_covariance(prev, want[2]))
     assert (w[:, 0] > 1e-3 * w[:, -1]).all()
     got = (res.proportions, res.covariances, res.cts_covariances)
     for g, x in zip(got, want):
         assert_allclose(g, x, rtol=1e-10, atol=1e-15)
 
 
-@pytest.mark.parametrize("passes", [1, 2, 3])
+@pytest.mark.parametrize("passes", [2, 3])
 def test_iteration_matches_the_inline_loop(passes):
     # Fewer samples per gene and iid noise: raw estimates are indefinite, and
     # the plug-in Sigma_i reach condition numbers near 5e5. The projected,
@@ -487,16 +461,27 @@ def test_iteration_matches_the_inline_loop(passes):
     # largest entry (8e-13 measured).
     rng = np.random.default_rng(16)
     W, P, Y = _sim(rng, n=40)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = run_gls_iterative(W, Y, max_iter=passes, tol=1e-300)
+    res = run_gls_iterative(W, Y, max_iter=passes)
     assert res.iterations == passes
-    want = _old_run_gls_iterative(W, Y, passes)
-    raw = cts_covariance_raw_all(want[0] ** 2, Y - W @ want[0].T)
+    *want, prev = _old_run_gls_iterative(W, Y, passes)
+    raw = cts_covariance_raw_all(prev ** 2, Y - W @ prev.T)
     assert (np.linalg.eigvalsh(raw)[:, 0] < 0.0).all()
     got = (res.proportions, res.covariances, res.cts_covariances)
     for g, x in zip(got, want):
         assert_allclose(g, x, rtol=0, atol=1e-10 * np.abs(x).max())
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_two_step_estimate_and_covariance_share_one_plug_in(r):
+    # desk replicates: the returned estimate is the GLS fit whitened by the
+    # plug-in it returns, built on the plain constrained fit, and the
+    # returned covariance is that same fit's, byte for byte
+    _, Wobs, P, Y, Sig = replicate_dataset(SimConfig(), replicate_rng(0, r))
+    res = run_gls_iterative(Wobs, Y, max_iter=2)
+    S = SubjectCovariances(estimate_proportions(Wobs, Y), res.cts_covariances)
+    assert res.proportions.tobytes() == solve_gls(Wobs, Y, S).tobytes()
+    assert (res.covariances.tobytes()
+            == (gls_covariance(Wobs, S) / Wobs.shape[0]).tobytes())
 
 
 @pytest.mark.parametrize("p, n", [(24, 200), (12, 500), (16, 400)])
@@ -506,9 +491,7 @@ def test_iteration_runs_through_on_iid_noise(p, n):
     # ratios near 1e-10) and a later pass abort with SingularDesign
     rng = np.random.default_rng(16)
     W, P, Y = _sim(rng, p=p, n=n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonConvergenceWarning)
-        res = run_gls_iterative(W, Y, max_iter=5)
+    res = run_gls_iterative(W, Y, max_iter=5)
     assert res.iterations == 5
     assert res.proportions.min() >= 0
     assert np.abs(res.proportions.sum(axis=1) - 1).max() < 1e-12
@@ -524,9 +507,7 @@ def test_iteration_whitens_a_chunk_at_a_time():
     assert gls._WHITEN_BYTES < stack / 8
     tracemalloc.start()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = run_gls_iterative(W, Y, max_iter=2)
+        res = run_gls_iterative(W, Y, max_iter=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -554,7 +535,7 @@ def test_iteration_names_the_sample_without_a_positive_eigenvalue(
                                                np.eye(p)]))
     with pytest.raises(SingularSigma, match="^matrix 5: subject covariance "
                        "is not positive definite$"):
-        run_gls_iterative(W, Y, max_iter=1)
+        run_gls_iterative(W, Y, max_iter=2)
 
 
 def _count_gates(monkeypatch):

@@ -7,7 +7,7 @@ from scipy import stats
 
 from conftest import one_sandwich
 from decals import simgen
-from decals.deconv import SignatureMatrix, sandwich
+from decals.deconv import SignatureMatrix, sandwich, wald_intervals
 from decals.errors import (DimensionMismatch, DivisibilityError,
                            NonPositiveMean)
 from decals.simgen import (SimConfig, block_correlations, coverage_experiment,
@@ -266,6 +266,24 @@ def test_v_error_study_rejects_an_unknown_method_before_any_fit(
                       signature_sds=(1.0,), n=20, replicates=1)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("unknown method 'magic'; expected one ")
+    assert calls == []
+
+
+@pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
+def test_coverage_experiment_rejects_a_bad_level_before_any_fit(
+        monkeypatch, level):
+    # checked up front, with wald_intervals' message, not once the first
+    # replicate has been fitted
+    calls = []
+    monkeypatch.setattr(simgen, "_fit_estimates",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError) as want:
+        wald_intervals(np.zeros(1), np.zeros(1), level)
+    with pytest.raises(ValueError) as got:
+        coverage_experiment(SimConfig(p=30, n=20, replicates=1), "decals",
+                            level=level)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"level must be in (0,1), got {level}"
     assert calls == []
 
 
