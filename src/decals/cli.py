@@ -22,18 +22,15 @@ from .covest import run_decals
 from .deconv import align_genes, wald_intervals
 from .downstream import aggregate_calls, sample_proportion_sets
 from .errors import (DecalsError, DimensionMismatch, DivisibilityError,
-                     GeneMismatch, InsufficientSamples, NonFinite,
-                     NonPositiveMean, ParseError)
-from .simgen import (SimConfig, coverage_experiment, resolve_workers,
-                     v_error_study)
+                     GeneMismatch, InsufficientSamples, NonFinite, ParseError)
+from .simgen import SimConfig, coverage_experiment, v_error_study
 
 EXIT_OK, EXIT_INPUT, EXIT_NUMERIC = 0, 2, 3
 
 # bad files or configuration; everything else DecalsError is numerical, and
 # so is np.linalg.LinAlgError although it subclasses ValueError
 _INPUT_ERRORS = (ParseError, GeneMismatch, DimensionMismatch, NonFinite,
-                 DivisibilityError, InsufficientSamples, NonPositiveMean,
-                 ValueError)
+                 DivisibilityError, InsufficientSamples, ValueError)
 
 _SCALES = {
     "desk": {"p": 150, "n": 200, "replicates": 50},
@@ -80,7 +77,7 @@ def cmd_deconvolve(args) -> int:
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
         Wa, Ya = align_genes(sig, bulk)
-        res = run_decals(Wa, Ya, sparse=args.sparse, correct=args.correct,
+        res = run_decals(Wa, Ya, correct=args.correct,
                          max_iter=args.max_iter, tol=args.tol,
                          lambdas=args.scad_lambda, seed=args.seed)
     # the record holds every warning, res.warnings included
@@ -101,7 +98,7 @@ def cmd_deconvolve(args) -> int:
         "command": "deconvolve",
         "signature": args.signature,
         "bulk": args.bulk,
-        "options": {"sparse": args.sparse, "correct": args.correct,
+        "options": {"correct": args.correct,
                     "max_iter": args.max_iter, "tol": args.tol,
                     "seed": args.seed, "level": args.level,
                     "scad_lambda": args.scad_lambda},
@@ -152,15 +149,13 @@ def cmd_simulate(args) -> int:
     _check_min("--gls-max-iter", args.gls_max_iter, 2)
     if args.replicates is not None:
         _check_min("--replicates", args.replicates, 1)
-    if args.workers is not None:
-        _check_min("--workers", args.workers, 1)
-    workers = resolve_workers(args.workers)
+    _check_min("--workers", args.workers, 1)
     os.makedirs(args.out, exist_ok=True)
     if args.preset == "tableS1":
         sizes = _SCALES[args.scale]
         reps = args.replicates if args.replicates is not None else 10
         table = v_error_study(n=sizes["n"], replicates=reps, seed=args.seed,
-                              workers=workers)
+                              workers=args.workers)
         io.write_json(os.path.join(args.out, "verror.json"), table.to_dict())
         rows = [["p", "signature_sd", "method", "entry", "mean", "se"]]
         for r in table.rows:
@@ -187,7 +182,7 @@ def cmd_simulate(args) -> int:
             opts = ({"max_iter": args.gls_max_iter}
                     if method == "gls_estimated" else None)
             report = coverage_experiment(config, method, level=args.level,
-                                         workers=workers,
+                                         workers=args.workers,
                                          method_options=opts)
             tag = method if args.preset != "noise" else f"{method}_a{a0:g}"
             io.write_json(os.path.join(args.out, f"report_{tag}.json"),
@@ -254,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True, metavar="DIR")
     d.add_argument("--level", type=float, default=0.95,
                    help="confidence level for intervals.csv (default 0.95)")
-    d.add_argument("--sparse", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="SCAD-threshold the gene-gene covariances (default on)")
     d.add_argument("--no-correct", dest="correct", action="store_false",
                    help="disable the finite-sample bias correction")
     d.add_argument("--max-iter", type=int, default=50)
@@ -286,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replicates", type=int, default=None,
                    help="override the scale's replicate count")
     s.add_argument("--level", type=float, default=0.95)
-    s.add_argument("--workers", type=int, default=None,
-                   help="replicate worker processes (default "
-                        "$DECALS_WORKERS or 1)")
+    s.add_argument("--workers", type=int, default=1,
+                   help="replicate worker processes (default 1); results "
+                        "do not depend on the count")
     s.add_argument("--gls-max-iter", type=int, default=2,
                    help="fits of the estimated-GLS arm, each whitened by "
                         "the previous fit's plug-in (default 2: two-step "

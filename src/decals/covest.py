@@ -73,7 +73,7 @@ class DecalsResult:
     cts_covariances: np.ndarray              # (K, p, p), one per cell type
     iterations: int
     converged: bool
-    lambdas: np.ndarray | None = None        # per-type SCAD levels, sparse mode
+    lambdas: np.ndarray | None = None        # per-type SCAD levels; None from GLS
     warnings: list[str] = field(default_factory=list)
     # run_decals: per iteration {"path": "corrected" | "raw", "delta": float}
     trace: list[dict] = field(default_factory=list)
@@ -441,27 +441,9 @@ class SubjectCovariances:
         return subject_covariance(self.proportions[index], self.cts)
 
 
-def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
-               max_iter: int = 50, tol: float = 1e-4,
-               lambdas=None, seed: int = 0) -> DecalsResult:
-    """Full pipeline: proportions, then the covariance fixed-point loop.
-
-    sparse:   SCAD-threshold each Sigma^(k) (level from cross-validation
-              unless `lambdas` is given) and project to PSD. Without
-              thresholding the plug-in V collapses along the constraint
-              direction, so leave this on unless Sigma estimates are not needed.
-    correct:  apply the moment bias correction; automatically falls back
-              to the raw estimator if the corrected moment matrix stops
-              being positive definite (warning recorded).
-    tol:      relative sup-norm change of all V_i that counts as converged.
-              A raw pass counts as converged too: it reaches the raw map's
-              fixed point at once.
-    """
-    Wv, Yv = _values(W), _values(Y)
-    p, K = Wv.shape
-    n = Yv.shape[1]
-    if n < K:
-        raise InsufficientSamples(f"need n >= K for the moment regression, got n={n}")
+def _check_decals_options(K: int, max_iter: int, tol: float, lambdas):
+    """run_decals' checks of the options that need no data, only the cell
+    type count K; returns lambdas as an array (None stays None)."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol > 0.0:                        # NaN or <= 0 never converges
@@ -475,6 +457,31 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
         if not (np.isfinite(lambdas) & (lambdas >= 0.0)).all():
             raise ValueError(f"lambdas must be finite and >= 0, "
                              f"got {lambdas.tolist()}")
+    return lambdas
+
+
+def run_decals(W, Y, *, correct: bool = True, max_iter: int = 50,
+               tol: float = 1e-4, lambdas=None, seed: int = 0) -> DecalsResult:
+    """Full pipeline: proportions, then the covariance fixed-point loop.
+
+    Each iteration SCAD-thresholds every Sigma^(k) on the correlation scale
+    and projects it to PSD. The level comes from cross-validation (folds
+    split by `seed`) unless `lambdas` gives one per type. Unthresholded,
+    the plug-in V collapses along the constraint direction: the raw moments
+    carry nothing of W' Sigma^(k) W at an interior fit.
+    correct:  apply the moment bias correction; automatically falls back
+              to the raw estimator if the corrected moment matrix stops
+              being positive definite (warning recorded).
+    tol:      relative sup-norm change of all V_i that counts as converged.
+              A raw pass counts as converged too: it reaches the raw map's
+              fixed point at once.
+    """
+    Wv, Yv = _values(W), _values(Y)
+    p, K = Wv.shape
+    n = Yv.shape[1]
+    if n < K:
+        raise InsufficientSamples(f"need n >= K for the moment regression, got n={n}")
+    lambdas = _check_decals_options(K, max_iter, tol, lambdas)
     run_warnings: list[str] = []
     trace: list[dict] = []
 
@@ -491,7 +498,7 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
     # the basis T over [H, s2] (over H alone without correction); every
     # estimate below is R @ T for a K x (K+1) (K x K) matrix R
     T = _moments(Z, np.column_stack([H, s2]) if correct else H)
-    if sparse and lambdas is None:
+    if lambdas is None:
         try:
             lambdas = cross_validate_lambda(Z, H, seed=seed, basis=T[:K])
         except InsufficientSamples as err:
@@ -523,11 +530,10 @@ def run_decals(W, Y, *, sparse: bool = True, correct: bool = True,
         if path == "raw":
             R = np.linalg.inv(_moment_matrix(H))
         Sk = np.tensordot(R, T[:R.shape[1]], axes=1)
-        # variance floor, then optional sparsification
+        # variance floor, then sparsification
         for k in range(K):
             Sk[k, di, di] = np.maximum(Sk[k, di, di], _DIAG_FLOOR)
-            if sparse:
-                _sparsify(Sk[k], lambdas[k])
+            _sparsify(Sk[k], lambdas[k])
         Vw = sandwich(Wv, Sk, weights)
         Vn = Vw[:n]
         # V_i = sum_k H_ik Vt_k, so B2 = H D/p with D[k] = diag(Vt_k)

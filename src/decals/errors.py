@@ -46,10 +46,6 @@ class NonPsd(DecalsError):
     """A matrix required to be positive semidefinite is not, beyond tolerance."""
 
 
-class NonPositiveMean(DecalsError):
-    """Gamma-marginal sampling requires strictly positive mean parameters."""
-
-
 class DivisibilityError(DecalsError):
     """The block correlation design needs p divisible by the number of blocks."""
 

@@ -184,6 +184,12 @@ def gls_covariance(W, Sigma) -> np.ndarray:
     return V[0] if single else V
 
 
+def _check_gls_options(max_iter: int) -> None:
+    """run_gls_iterative's check of its option."""
+    if max_iter < 2:
+        raise ValueError(f"max_iter must be at least 2, got {max_iter}")
+
+
 def run_gls_iterative(W, Y, *, max_iter: int = 2) -> DecalsResult:
     """Feasible GLS in max_iter fits.
 
@@ -196,8 +202,7 @@ def run_gls_iterative(W, Y, *, max_iter: int = 2) -> DecalsResult:
     iterations is max_iter and converged is False."""
     Wv, Yv = _values(W), _values(Y)
     p = Wv.shape[0]
-    if max_iter < 2:
-        raise ValueError(f"max_iter must be at least 2, got {max_iter}")
+    _check_gls_options(max_iter)
     est = estimate_proportions(Wv, Yv)
     for _ in range(max_iter - 1):
         Sk = np.stack([qp.nearest_psd(S) for S in

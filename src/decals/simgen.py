@@ -1,10 +1,11 @@
 """Seeded synthetic-data generators and the Monte-Carlo coverage harness.
 
-Data model: proportions drawn from a Dirichlet, per-type expression profiles
-drawn around signature means with block-structured covariances, bulk samples
-assembled as proportion-weighted sums. Every replicate owns a counter-based
-RNG substream keyed by (seed, replicate), so results do not depend on
-execution order and parallel runs reproduce serial ones bit for bit.
+Data model: proportions drawn from a Dirichlet, per-type Gaussian expression
+profiles drawn around signature means with block-structured covariances,
+bulk samples assembled as proportion-weighted sums. Every replicate owns a
+counter-based RNG substream keyed by (seed, replicate), so results do not
+depend on execution order and parallel runs reproduce serial ones bit for
+bit.
 
 The coverage harness runs one estimation method per experiment and reports
 per-cell-type empirical CI coverage, width, and error, both pooled and per
@@ -15,20 +16,20 @@ replicate that fails numerically is recorded in the report and skipped.
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr
 
-from .covest import SubjectCovariances, run_decals
+from .covest import SubjectCovariances, run_decals, _check_decals_options
 from .deconv import (estimate_proportions, sandwich, wald_intervals,
                      _check_level)
 from .errors import (DecalsError, DimensionMismatch, DivisibilityError,
-                     NonPositiveMean, NonPsd)
-from .gls import gls_covariance, run_gls_iterative, solve_gls
+                     NonPsd)
+from .gls import (gls_covariance, run_gls_iterative, solve_gls,
+                  _check_gls_options)
 
 METHODS = ("ols", "decals", "decals_uncorrected", "gls_oracle",
            "gls_estimated", "decals_oracle")
@@ -50,7 +51,6 @@ class SimConfig:
     p: int = 150
     n: int = 200
     dirichlet_alpha: tuple = (3.0, 2.0, 1.0)
-    generator: str = "gaussian"              # or "gamma_copula"
     noise_a0: float = 0.0
     replicates: int = 50
     seed: int = 0
@@ -64,8 +64,6 @@ class SimConfig:
         if self.p % self.K:
             raise DivisibilityError(
                 f"block design needs p divisible by K, got p={self.p}, K={self.K}")
-        if self.generator not in ("gaussian", "gamma_copula"):
-            raise ValueError(f"unknown generator {self.generator!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.noise_a0 < 0:
@@ -171,21 +169,6 @@ def sample_gaussian_profiles(w_k, Sigma_k, n: int, rng) -> np.ndarray:
     return w_k[None, :] + rng.standard_normal((n, L.shape[1])) @ L.T
 
 
-def sample_gamma_copula(w_k, R_k, n: int, rng, shape_alpha: float = 0.01
-                        ) -> np.ndarray:
-    """n vectors with Gamma(shape_alpha, w_j/shape_alpha) marginals (mean w_j)
-    and Gaussian-copula dependence R_k. Shape (n, p)."""
-    w_k = np.asarray(w_k, dtype=float)
-    if (w_k <= 0).any():
-        raise NonPositiveMean("gamma marginals need strictly positive means")
-    z = sample_gaussian_profiles(np.zeros(len(w_k)), R_k, n, rng)
-    u = ndtr(z)                              # standard normal CDF
-    # avoid the exact endpoints where the inverse CDF is infinite
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    # the Gamma(shape_alpha, scale) quantile is scale * P^{-1}(shape_alpha, u)
-    return (w_k / shape_alpha) * gammaincinv(shape_alpha, u)
-
-
 def perturb_signature(W, a0: float, rng):
     """Add iid N(0, a0^2) noise to every signature entry; a0=0 is identity."""
     if a0 < 0:
@@ -216,14 +199,9 @@ def replicate_dataset(config: SimConfig, rng):
     K, p, n = config.K, config.p, config.n
     R = block_correlations(p, K)
     Sig = config.scale * R
-    if config.generator == "gaussian":
-        W = rng.normal(0.0, config.signature_sd, (p, K))
-        X = np.stack([sample_gaussian_profiles(W[:, k], Sig[k], n, rng)
-                      for k in range(K)])
-    else:
-        W = np.abs(rng.normal(0.0, config.signature_sd, (p, K))) + 0.1
-        X = np.stack([sample_gamma_copula(W[:, k], R[k], n, rng)
-                      for k in range(K)])
+    W = rng.normal(0.0, config.signature_sd, (p, K))
+    X = np.stack([sample_gaussian_profiles(W[:, k], Sig[k], n, rng)
+                  for k in range(K)])
     P = sample_dirichlet(config.dirichlet_alpha, n, rng)
     Y = synthesize_bulk(P, X)
     Wobs = perturb_signature(W, config.noise_a0, rng)
@@ -233,6 +211,27 @@ def replicate_dataset(config: SimConfig, rng):
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def _check_options(method: str, options, K: int) -> None:
+    """Refuse, before any data exist, the options `method`'s fit would
+    refuse: one the fit does not take (binding raises the TypeError a call
+    would), a value the fit's own checks refuse, and any option at all for
+    the methods that take none."""
+    fit = {"decals": run_decals, "decals_uncorrected": run_decals,
+           "gls_estimated": run_gls_iterative}.get(method)
+    if fit is None:
+        if options:
+            raise TypeError(f"method {method!r} takes no options, "
+                            f"got {sorted(options)}")
+        return
+    bound = inspect.signature(fit).bind(None, None, **(options or {}))
+    bound.apply_defaults()
+    a = bound.arguments
+    if fit is run_gls_iterative:
+        _check_gls_options(a["max_iter"])
+    else:
+        _check_decals_options(K, a["max_iter"], a["tol"], a["lambdas"])
 
 
 def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
@@ -284,23 +283,13 @@ def _replicate_worker(args):
         return r, None, f"replicate {r}: {type(err).__name__}: {err}"
 
 
-def resolve_workers(workers: int | None) -> int:
-    """workers, else $DECALS_WORKERS, else 1."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return workers
-    env = os.environ.get("DECALS_WORKERS", "1")
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"DECALS_WORKERS must be an integer >= 1, got {env!r}")
-    return int(env)
-
-
 def _map_jobs(fn, jobs, workers: int) -> list:
     """[fn(j) for j in jobs], in `workers` spawned processes when above 1.
 
     Every replicate seeds its own substream, so the results do not depend
     on the worker count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1:
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
@@ -309,7 +298,7 @@ def _map_jobs(fn, jobs, workers: int) -> list:
 
 
 def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
-                        workers: int | None = None,
+                        workers: int = 1,
                         method_options: dict | None = None) -> CoverageReport:
     """Empirical CI coverage of `method` over seeded replicates.
 
@@ -317,12 +306,15 @@ def coverage_experiment(config: SimConfig, method: str, *, level: float = 0.95,
     record the per-cell-type fraction of intervals containing the truth.
     Oracle variants receive the true subject covariances. Failing replicates
     are recorded and skipped, not fatal. Replicate r draws from substream
-    (config.seed, r), so fewer replicates repeat a longer run's first ones."""
+    (config.seed, r), so fewer replicates repeat a longer run's first ones.
+    `method_options` go to the decals and gls_estimated fits, and are
+    checked before any replicate runs."""
     _check_method(method)
     _check_level(level)
+    _check_options(method, method_options, config.K)
     reps = range(config.replicates)
     jobs = [(config, method, r, level, method_options) for r in reps]
-    results = _map_jobs(_replicate_worker, jobs, resolve_workers(workers))
+    results = _map_jobs(_replicate_worker, jobs, workers)
 
     K = config.K
     per_rep = np.full((len(reps), K), np.nan)
@@ -391,13 +383,13 @@ def _replicate_v_errors(args):
 def v_error_study(p_values=(150, 300), signature_sds=(1.0, 2.0), *,
                   methods=("decals", "ols"), n: int = 200,
                   replicates: int = 10, seed: int = 0,
-                  workers: int | None = None) -> VErrorTable:
+                  workers: int = 1) -> VErrorTable:
     """RMS estimation error of the per-sample covariance, per matrix entry,
     across a grid of gene counts and signature sds. Errors shrink as either
     grows, and the pipeline estimate beats the iid-error baseline throughout.
     `methods` are METHODS names, each run with default options. The
     replicates of every grid cell run in `workers` processes (see
-    resolve_workers); the table does not depend on their number.
+    _map_jobs); the table does not depend on their number.
     """
     for method in methods:
         _check_method(method)
@@ -409,7 +401,7 @@ def v_error_study(p_values=(150, 300), signature_sds=(1.0, 2.0), *,
              for p in p_values for a in signature_sds]
     jobs = [(config, methods, r, entries)
             for config in cells for r in range(replicates)]
-    results = _map_jobs(_replicate_v_errors, jobs, resolve_workers(workers))
+    results = _map_jobs(_replicate_v_errors, jobs, workers)
     for c, config in enumerate(cells):
         per_rep = results[c * replicates:(c + 1) * replicates]
         for m in methods:

@@ -259,24 +259,6 @@ def test_count_options_rejected_before_reading_or_writing(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_malformed_decals_workers_stops_only_simulate(tmp_path, capsys,
-                                                      monkeypatch, value):
-    monkeypatch.setenv("DECALS_WORKERS", value)
-    pv = tmp_path / "pv.csv"
-    pv.write_text("")
-    assert main(["aggregate", "--pvalues", str(pv),
-                 "--out", str(tmp_path / "calls.csv")]) == EXIT_OK
-    capsys.readouterr()
-    out = tmp_path / "sim"
-    assert main(["simulate", "--preset", "fig4", "--replicates", "1",
-                 "--out", str(out)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err == ("error: DECALS_WORKERS must be an integer >= 1, "
-                   f"got {value!r}\n")
-    assert not out.exists()
-
-
 def test_sample_refuses_half_written_results(noiseless_data, tmp_path,
                                              capsys):
     # a deconvolve that stopped before its last file leaves no run_meta.json
@@ -512,6 +494,42 @@ def test_simulate_verror_is_independent_of_workers(tmp_path, capsys):
     for name in ["verror.json", "verror.csv"]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+
+def test_parser_takes_every_benchmark_command_line(tmp_path, capsys):
+    # each command line the benchmark's child process issues, so a flag
+    # removal that breaks it fails here and not as a failed benchmark run
+    parser = cli.build_parser()
+    lines = [
+        (["deconvolve", "--signature", "sig.tsv", "--bulk", "bulk.tsv",
+          "--out", "res"], cli.cmd_deconvolve),
+        (["sample", "--results", "res", "--draws", "100", "--seed", "7",
+          "--out", "draws"], cli.cmd_sample),
+        (["sample", "--results", "res", "--draws", "4", "--out", "draws"],
+         cli.cmd_sample),
+        (["aggregate", "--pvalues", "pv.csv", "--alpha", "0.05",
+          "--draws", "100", "--out", "calls.csv"], cli.cmd_aggregate),
+        (["aggregate", "--pvalues", "pv.csv", "--out", "calls.csv"],
+         cli.cmd_aggregate),
+    ] + [(["simulate", "--preset", preset, "--scale", "desk",
+           "--replicates", "3", "--seed", "7", "--workers", "1",
+           "--gls-max-iter", "2", "--out", "sim"], cli.cmd_simulate)
+         for preset in ("fig1", "fig2", "fig4")]
+    for argv, func in lines:
+        assert parser.parse_args(argv).func is func, argv
+    # one worker unless --workers says otherwise; no environment fallback
+    assert parser.parse_args(["simulate", "--preset", "fig1",
+                              "--out", "sim"]).workers == 1
+    # the dense fit is gone: its flags are usage errors that write nothing
+    for flag in ("--sparse", "--no-sparse"):
+        out = tmp_path / flag.strip("-")
+        with pytest.raises(SystemExit) as exc:
+            main(["deconvolve", "--signature", "sig.tsv", "--bulk",
+                  "bulk.tsv", "--out", str(out), flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_version_and_usage():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -531,3 +549,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
                "solve_equality_ls", "cts_covariance_corrected"}
     assert not removed & set(decals.__all__)
     assert not [n for n in removed if hasattr(decals, n)]
+    from decals import errors, simgen
+    for module, name in ((simgen, "resolve_workers"),
+                         (simgen, "sample_gamma_copula"),
+                         (errors, "NonPositiveMean")):
+        assert not hasattr(module, name), name

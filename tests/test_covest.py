@@ -474,10 +474,10 @@ def test_run_decals_sticky_fallback_records_warning():
 
 def test_run_decals_uncorrected_and_dense_paths():
     # interior-only estimates: residuals satisfy W'z = c*1 exactly, so the
-    # dense plug-in makes W' Sigma^k W proportional to the all-ones matrix,
-    # which the constraint projector annihilates; V collapses to zero.
-    # Thresholding breaks that proportionality, which is why sparse is the
-    # default.
+    # unthresholded raw plug-in makes W' Sigma^k W proportional to the
+    # all-ones matrix, which the constraint projector annihilates; V
+    # collapses to zero. Thresholding breaks that proportionality, which is
+    # why run_decals always thresholds.
     from decals.deconv import constraint_projector, estimate_proportions
 
     rng = np.random.default_rng(12)
@@ -495,19 +495,9 @@ def test_run_decals_uncorrected_and_dense_paths():
         assert np.ptp(A) < 1e-8 * abs(A.mean())
         V = U @ Omi @ (A / p) @ Omi @ U.T
         assert np.abs(V).max() < 1e-12
-    # the pipeline keeps a variance floor, so its dense V is small but not
-    # exactly zero; thresholding must still dominate it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res_d = run_decals(W, Y, sparse=False, correct=False)
-        res_s = run_decals(W, Y, correct=False)
-    assert res_d.lambdas is None
-    Vd = np.abs(res_d.covariances).max()
-    Vs = np.abs(res_s.covariances).max()
-    assert Vs > Vd
 
 
-def _oracle_loop(W, Y, max_iter, sparse, correct, lambdas):
+def _oracle_loop(W, Y, max_iter, correct, lambdas):
     """run_decals' fixed-point loop rebuilt from the public estimators:
     bias terms -> corrected (or raw) moment regression over the residuals
     -> diagonal floor -> SCAD + PSD -> sandwich. Returns V (estimate scale),
@@ -533,8 +523,7 @@ def _oracle_loop(W, Y, max_iter, sparse, correct, lambdas):
         for k in range(K):
             np.fill_diagonal(Sk[k], np.maximum(np.diagonal(Sk[k]),
                                                covest._DIAG_FLOOR))
-            if sparse:
-                Sk[k] = _old_sparsify(Sk[k], lambdas[k])
+            Sk[k] = _old_sparsify(Sk[k], lambdas[k])
         V = sandwich(W, Sk, H)
     return V / p, Sk, paths
 
@@ -552,7 +541,6 @@ LOOP_CASES = {
     "corrected": (0, {}, ["corrected"] * 3),
     "fallback": (4, {}, ["corrected", "raw", "raw"]),
     "uncorrected": (0, {"correct": False}, ["raw"] * 3),
-    "dense": (0, {"sparse": False}, ["corrected"] * 3),
 }
 
 
@@ -560,13 +548,12 @@ LOOP_CASES = {
 def test_run_decals_loop_matches_public_oracles(case):
     seed, options, paths = LOOP_CASES[case]
     W, _, Y = _sim(np.random.default_rng(seed), p=60, n=60, noise=1.0)
-    sparse = options.get("sparse", True)
     correct = options.get("correct", True)
     for m in (1, 2, 3):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = run_decals(W, Y, max_iter=m, tol=1e-300, **options)
-        V, Sk, got_paths = _oracle_loop(W, Y, m, sparse, correct, res.lambdas)
+        V, Sk, got_paths = _oracle_loop(W, Y, m, correct, res.lambdas)
         assert got_paths == paths[:m]
         # the raw map does not depend on V, so the first raw pass reaches its
         # fixed point and ends the loop, converged

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import stats
 
 from conftest import one_sandwich
 from decals import simgen
 from decals.deconv import SignatureMatrix, sandwich, wald_intervals
-from decals.errors import (DimensionMismatch, DivisibilityError,
-                           NonPositiveMean)
-from decals.simgen import (SimConfig, block_correlations, coverage_experiment,
-                           perturb_signature, replicate_dataset,
-                           replicate_rng, sample_dirichlet,
-                           sample_gamma_copula, sample_gaussian_profiles,
-                           synthesize_bulk, v_error_study)
+from decals.errors import DimensionMismatch, DivisibilityError
+from decals.simgen import (METHODS, SimConfig, block_correlations,
+                           coverage_experiment, perturb_signature,
+                           replicate_dataset, replicate_rng, sample_dirichlet,
+                           sample_gaussian_profiles, synthesize_bulk,
+                           v_error_study)
 
 
 def test_block_correlations_exact_entries():
@@ -76,46 +74,6 @@ def test_gaussian_profiles_rank_deficient_ok():
     assert np.abs(d).max() < 1e-6            # all coordinates move together
 
 
-def test_gamma_copula_marginals():
-    rng = np.random.default_rng(3)
-    w = np.array([2.0, 5.0, 1.0])
-    X = sample_gamma_copula(w, np.eye(3), 100000, rng)
-    # tiny-shape gamma quantiles underflow to 0.0 for small u
-    assert (X >= 0).all() and np.isfinite(X).all()
-    # shape 0.01 marginals have sd = 10*mean: mean SE is ~3% at n=1e5
-    assert_allclose(X.mean(axis=0), w, rtol=0.15)
-    # Kolmogorov-Smirnov against the exact marginal law (seeded draw)
-    for j in range(3):
-        ks = stats.kstest(X[:, j], "gamma", args=(0.01, 0.0, w[j] / 0.01))
-        assert ks.pvalue > 1e-3
-    with pytest.raises(NonPositiveMean):
-        sample_gamma_copula(np.array([1.0, -2.0]), np.eye(2), 10, rng)
-
-
-def test_gamma_copula_matches_scipy_stats_bitwise():
-    # the package draws through scipy.special; scipy.stats gives the same bits
-    R = block_correlations(30, 3)[1]
-    w = np.abs(np.random.default_rng(5).normal(0, 1, 30)) + 0.1
-    X = sample_gamma_copula(w, R, 400, np.random.default_rng(6))
-    z = sample_gaussian_profiles(np.zeros(30), R, 400,
-                                 np.random.default_rng(6))
-    u = np.clip(stats.norm.cdf(z), 1e-300, 1.0 - 1e-16)
-    ref = stats.gamma.ppf(u, a=0.01, scale=w / 0.01)
-    assert (X > 0).any() and (X == 0).any()  # both regimes of the quantile
-    assert np.array_equal(X, ref)
-
-
-def test_gamma_copula_dependence_sign():
-    rng = np.random.default_rng(4)
-    R = np.array([[1.0, 0.9], [0.9, 1.0]])
-    X = sample_gamma_copula(np.array([1.0, 1.0]), R, 50000, rng)
-    rho = stats.spearmanr(X[:, 0], X[:, 1]).statistic
-    assert rho > 0.5                         # strong positive rank dependence
-    X0 = sample_gamma_copula(np.array([1.0, 1.0]), np.eye(2), 50000, rng)
-    rho0 = stats.spearmanr(X0[:, 0], X0[:, 1]).statistic
-    assert abs(rho0) < 0.02                  # ~4 SE at n=5e4
-
-
 def test_perturb_signature():
     rng = np.random.default_rng(5)
     W = rng.normal(0, 1, (2000, 3))
@@ -175,14 +133,6 @@ def test_sandwich_matches_single_on_replicate():
         assert_allclose(Vs[i], one_sandwich(W, Si) / 30, atol=1e-12)
 
 
-def test_gamma_copula_generator_end_to_end():
-    cfg = SimConfig(p=30, n=15, replicates=1, seed=2,
-                    generator="gamma_copula")
-    W, Wo, P, Y, Sig = replicate_dataset(cfg, replicate_rng(2, 0))
-    assert (W > 0).all()                     # copula means are positive
-    assert np.isfinite(Y).all()
-
-
 def test_coverage_experiment_determinism_and_subset():
     cfg = SimConfig(p=45, n=40, replicates=3, seed=9)
     r1 = coverage_experiment(cfg, "ols")
@@ -199,25 +149,70 @@ def test_coverage_experiment_determinism_and_subset():
     assert d["config"]["p"] == 45 and len(d["per_replicate"]) == 3
 
 
-@pytest.mark.parametrize("workers, env, message", [
-    (None, "0", "DECALS_WORKERS must be an integer >= 1, got '0'"),
-    (None, "two", "DECALS_WORKERS must be an integer >= 1, got 'two'"),
-    (0, "2", "workers must be >= 1, got 0"),
-    (-3, None, "workers must be >= 1, got -3"),
-], ids=["env-zero", "env-word", "direct-zero", "direct-negative"])
-def test_worker_counts_below_one_are_rejected(monkeypatch, workers, env,
-                                              message):
-    if env is None:
-        monkeypatch.delenv("DECALS_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("DECALS_WORKERS", env)
+def _count_datasets(monkeypatch):
+    """Record every replicate_dataset call the harness makes."""
+    calls = []
+    make = simgen.replicate_dataset
+    monkeypatch.setattr(simgen, "replicate_dataset", lambda config, rng: (
+        calls.append(config) or make(config, rng)))
+    return calls
+
+
+@pytest.mark.parametrize("workers", [0, -3],
+                         ids=["direct-zero", "direct-negative"])
+def test_worker_counts_below_one_are_rejected(monkeypatch, workers):
+    # refused before any job runs, not by a fallback to a serial run
+    calls = _count_datasets(monkeypatch)
+    message = f"workers must be >= 1, got {workers}"
     with pytest.raises(ValueError) as err:
-        simgen.resolve_workers(workers)
-    assert str(err.value) == message
-    # the harness does not fall back to a serial run
-    with pytest.raises(ValueError, match="must be"):
         coverage_experiment(SimConfig(p=30, n=20, replicates=1), "ols",
                             workers=workers)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        v_error_study(p_values=(30,), signature_sds=(1.0,), n=20,
+                      replicates=1, workers=workers)
+    assert str(err.value) == message
+    assert calls == []
+
+
+@pytest.mark.parametrize("method, options, error, message", [
+    ("gls_estimated", {"max_iter": 1}, ValueError,
+     "max_iter must be at least 2, got 1"),
+    ("gls_estimated", {"tol": 1e-4}, TypeError, "'tol'"),
+    ("decals", {"max_iter": 0}, ValueError,
+     "max_iter must be at least 1, got 0"),
+    ("decals", {"sparse_typo": True}, TypeError, "'sparse_typo'"),
+    ("decals_uncorrected", {"tol": float("nan")}, ValueError,
+     "tol must be > 0, got nan"),
+    ("decals", {"lambdas": [0.1, 0.1]}, DimensionMismatch,
+     "lambdas has shape (2,)"),
+    ("ols", {"max_iter": 2}, TypeError, "method 'ols' takes no options"),
+    ("decals_oracle", {"correct": False}, TypeError,
+     "method 'decals_oracle' takes no options"),
+    ("gls_oracle", {"max_iter": 2}, TypeError,
+     "method 'gls_oracle' takes no options"),
+])
+def test_method_options_are_refused_before_any_replicate(
+        monkeypatch, method, options, error, message):
+    # the fit's own checks, run once up front: no dataset is generated and
+    # no job is handed to the worker pool
+    calls = _count_datasets(monkeypatch)
+    jobs = []
+    monkeypatch.setattr(simgen, "_map_jobs", lambda *args: jobs.append(args))
+    with pytest.raises(error) as err:
+        coverage_experiment(SimConfig(p=30, n=20, replicates=3), method,
+                            workers=2, method_options=options)
+    assert message in str(err.value)
+    assert calls == [] and jobs == []
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_runs_the_benchmark_warm_up(method):
+    # the warm-up call the simulate benchmark makes for each method
+    rep = coverage_experiment(
+        SimConfig(p=30, n=40, replicates=1), method, workers=1,
+        method_options={"max_iter": 2} if method == "gls_estimated" else None)
+    assert rep.method == method and rep.per_replicate.shape == (1, 3)
 
 
 def test_coverage_experiment_records_failures():
