@@ -9,8 +9,8 @@ downstream analyses by resampling.
 
 __version__ = "0.1.0"
 
-from .covest import (DecalsResult, SubjectCovariances, cross_validate_lambda,
-                     run_decals, scad_threshold, subject_covariance)
+from .covest import (DecalsResult, cross_validate_lambda, run_decals,
+                     scad_threshold)
 from .deconv import (BulkMatrix, SignatureMatrix, align_genes,
                      estimate_proportions, sandwich, wald_intervals)
 from .downstream import (CallDecision, ProportionDrawSet, aggregate_calls,
@@ -25,7 +25,6 @@ from .simgen import (CoverageReport, SimConfig, VErrorTable,
 __all__ = [
     "__version__",
     "DecalsResult", "cross_validate_lambda", "run_decals", "scad_threshold",
-    "SubjectCovariances", "subject_covariance",
     "BulkMatrix", "SignatureMatrix", "align_genes", "estimate_proportions",
     "sandwich", "wald_intervals",
     "CallDecision", "ProportionDrawSet", "aggregate_calls", "call_cutoff",

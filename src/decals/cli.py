@@ -66,9 +66,15 @@ def _check_min(flag: str, value: int, low: int) -> None:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
+def _check_seed(seed: int) -> None:
+    _check_min("--seed", seed, 0)
+    if seed >= 2 ** 64:                      # numpy seeds take 64 bits
+        raise ValueError(f"--seed must be < 2**64, got {seed}")
+
+
 def cmd_deconvolve(args) -> int:
     _check_fraction("--level", args.level)
-    _check_min("--seed", args.seed, 0)
+    _check_seed(args.seed)
     _check_min("--max-iter", args.max_iter, 1)
     if not args.tol > 0.0:                   # NaN or <= 0 never converges
         raise ValueError(f"--tol must be > 0, got {args.tol}")
@@ -145,7 +151,7 @@ def _print_report(report) -> None:
 
 def cmd_simulate(args) -> int:
     _check_fraction("--level", args.level)
-    _check_min("--seed", args.seed, 0)
+    _check_seed(args.seed)
     _check_min("--gls-max-iter", args.gls_max_iter, 2)
     if args.replicates is not None:
         _check_min("--replicates", args.replicates, 1)
@@ -201,7 +207,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_min("--seed", args.seed, 0)
+    _check_seed(args.seed)
     _check_min("--draws", args.draws, 1)
     ids, cell_types, P, V = io.load_estimates(args.results)
     ds = sample_proportion_sets(P, V, args.draws, seed=args.seed,

@@ -403,47 +403,12 @@ def cross_validate_lambda(Z, H_hat, folds: int = 5, grid=None, seed: int = 0,
     return grid[np.argmin(losses, axis=1)]
 
 
-def subject_covariance(proportions, cts) -> np.ndarray:
-    """Subject-level error covariance sum_k pi_k^2 Sigma^(k).
-
-    Proportions of shape (..., K) and per-type covariances cts (K, p, p)
-    give covariances of shape (..., p, p), all formed at once;
-    SubjectCovariances forms the same stack a slice at a time."""
-    pi = np.asarray(proportions, dtype=float)
-    M = np.asarray(cts, dtype=float)
-    if pi.shape[-1] != M.shape[0]:
-        raise DimensionMismatch(
-            f"{pi.shape[-1]} proportions vs {M.shape[0]} covariance matrices")
-    return np.einsum('...k,kpq->...pq', pi ** 2, M)
-
-
-class SubjectCovariances:
-    """The (n, p, p) stack subject_covariance(proportions, cts) of n samples,
-    read-only and kept in its per-type form: proportions (n, K) and cts
-    (K, p, p). Indexing forms only the matrices asked for, S[sl] being
-    subject_covariance(proportions[sl], cts), so solve_gls and
-    gls_covariance build a chunk of it at a time."""
-
-    def __init__(self, proportions, cts):
-        self.proportions = np.asarray(proportions, dtype=float)
-        self.cts = np.asarray(cts, dtype=float)
-        if self.proportions.ndim != 2 or self.cts.ndim != 3:
-            raise DimensionMismatch(
-                f"proportions {self.proportions.shape} and per-type "
-                f"covariances {self.cts.shape}; need (n, K) and (K, p, p)")
-        subject_covariance(self.proportions[:0], self.cts)    # checks K
-        self.shape = (len(self.proportions),) + self.cts.shape[1:]
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, index) -> np.ndarray:
-        return subject_covariance(self.proportions[index], self.cts)
-
-
-def _check_decals_options(K: int, max_iter: int, tol: float, lambdas):
+def _check_decals_options(K: int, max_iter: int, tol: float, lambdas,
+                          seed: int):
     """run_decals' checks of the options that need no data, only the cell
     type count K; returns lambdas as an array (None stays None)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol > 0.0:                        # NaN or <= 0 never converges
@@ -481,7 +446,7 @@ def run_decals(W, Y, *, correct: bool = True, max_iter: int = 50,
     n = Yv.shape[1]
     if n < K:
         raise InsufficientSamples(f"need n >= K for the moment regression, got n={n}")
-    lambdas = _check_decals_options(K, max_iter, tol, lambdas)
+    lambdas = _check_decals_options(K, max_iter, tol, lambdas, seed)
     run_warnings: list[str] = []
     trace: list[dict] = []
 

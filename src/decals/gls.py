@@ -1,31 +1,30 @@
 """Constrained generalized least squares: whitened fits, their covariance, and
 the feasible variant that whitens by covariances estimated from residuals.
 
-`solve_gls` and `gls_covariance` take one sample (y (p,), Sigma (p, p)) or a
-stack (Y (p, n), Sigma (n, p, p)) and whiten it in chunks of about a MB. The
-stack is an array or a `covest.SubjectCovariances`, which keeps the model's
-Sigma_i = sum_k pi_ik^2 Sigma^(k) in its per-type form and forms one chunk's
-matrices at a time, so no (n, p, p) array is held. Each Sigma_i must be
-positive definite. It has to pass the gate `qp._is_pd` (Sigma_i - tau_i I,
-tau_i = 1e-10 ||Sigma_i||_inf, has a Cholesky factor) or be proven to pass
-it from its per-type form, sparing the gate's factor; then Sigma_i = L_i
-L_i' is factored and the sample whitened by L_i^{-1}. Any other Sigma_i
-raises SingularSigma, naming it by its index in the stack. No matrix's path
-depends on its neighbours, so a stacked call gives each sample the bytes of
-its one-sample call. The fit then solves every sample's whitened normal
-equations in one stacked call of `qp.solve_simplex_normal`.
+`solve_gls` and `gls_covariance` take the n subject covariances in the form
+`deconv.sandwich` takes: Sigma_i = sum_k H_ik S_k, with S (m, p, p) and
+weights H (n, m) >= 0, in the model the per-type covariances and squared
+proportions. S is symmetrized once per type, so each Sigma_i is formed
+exactly symmetric, a chunk of about a MB at a time; no (n, p, p) array is
+held. Each Sigma_i must pass the gate `qp._is_pd` (Sigma_i - tau_i I, tau_i
+= 1e-10 ||Sigma_i||_inf, has a Cholesky factor) or be proven to pass it from
+the per-type form, sparing the gate's factor; then Sigma_i = L_i L_i' is
+factored in place and the sample whitened by L_i^{-1}. Any other Sigma_i
+raises SingularSigma, naming it as matrix i. No matrix's path depends on its
+neighbours, so each sample gets the bytes of its one-sample call, H[i:i+1].
+The fit solves every sample's whitened normal equations in one stacked call
+of `qp.solve_simplex_normal`.
 
 This is a comparison arm. The feasible variant plugs estimated weights into
 the same whitening: from a fit's residuals it estimates the per-type
 covariances by the raw (uncorrected, unthresholded) moment regression,
 projects each onto the PSD cone (`qp.nearest_psd`), adds a ridge of 1e-6
 times its mean diagonal, and whitens the next fit, and that fit's covariance,
-by them as a SubjectCovariances. The raw estimates are routinely indefinite
-at moderate sample sizes; projection and ridge make the plug-in Sigma_i
-positive definite, not accurate, and the reported uncertainty still
-collapses. That failure mode is in scope: the module exists to quantify how
-much worse the whitened estimator behaves when its weight matrix must be
-estimated.
+by them. The raw estimates are routinely indefinite at moderate sample
+sizes; projection and ridge make the plug-in Sigma_i positive definite, not
+accurate, and the reported uncertainty still collapses. That failure mode is
+in scope: the module exists to quantify how much worse the whitened
+estimator behaves when its weight matrix must be estimated.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from . import qp
-from .covest import DecalsResult, SubjectCovariances, cts_covariance_raw_all
+from .covest import DecalsResult, cts_covariance_raw_all
 from .deconv import estimate_proportions, _values
 from .errors import (DimensionMismatch, NonFinite, SingularDesign,
                      SingularSigma)
@@ -62,44 +61,59 @@ def _design(Wv, Yc, m):
     return X
 
 
-def _proven(S) -> np.ndarray:
-    """Which samples of S provably pass the gate qp._is_pd, unasked: those
-    of a SubjectCovariances with finite, exactly symmetric C_k (so einsum
-    forms exactly symmetric Sigma_i) whose weights w = pi**2 sit only on
-    types whose C_k - s_k I factors, s_k = (2 _PD_GATE + 11 p^2 eps) nu_k,
-    nu_k = ||C_k||_inf. Cholesky's backward error is below 3 p^2 eps nu_k,
-    so lambda_min(C_k) >= mu_k = (2 _PD_GATE + 8 p^2 eps) nu_k. By Weyl,
-    lambda_min(fl(Sigma_i) - tau_i I) >= sum_k w_k mu_k - K eps N - tau_i >
-    4 p^2 eps N, N = sum_k w_k nu_k (K eps N bounds einsum's rounding, tau_i
+def _subject(Wv, S, H):
+    """S (m, p, p), symmetrized per type unless exactly symmetric, and H
+    (n, m), as float arrays; refuses shapes that do not fit W, a non-finite S
+    and a negative or non-finite weight, naming its sample."""
+    S, H = np.asarray(S, dtype=float), np.asarray(H, dtype=float)
+    p = Wv.shape[0]
+    if S.ndim != 3 or S.shape[1:] != (p, p) or H.shape[1:] != (len(S),):
+        raise DimensionMismatch(
+            f"covariances S {S.shape} and weights H {H.shape} do not match "
+            f"p={p}; need (m, {p}, {p}) and (n, m)")
+    bad = ~np.isfinite(S).all(axis=(1, 2))
+    if bad.any():
+        raise NonFinite(f"covariance {int(np.argmax(bad))} of S contains "
+                        "NaN/Inf")
+    bad = ~((H >= 0.0) & (H < np.inf)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"sample {i}: weights must be finite and >= 0, "
+                         f"got {H[i].tolist()}")
+    if not np.array_equal(S, S.swapaxes(1, 2)):
+        S = 0.5 * (S + S.swapaxes(1, 2))
+    return S, H
+
+
+def _proven(S, H) -> np.ndarray:
+    """Which samples provably pass the gate qp._is_pd, unasked, for S and H
+    from _subject (finite, S exactly symmetric, w = H_i >= 0): those whose
+    weights sit only on types whose S_k - s_k I factors, s_k = (2 _PD_GATE + 11
+    p^2 eps) nu_k, nu_k = ||S_k||_inf. Cholesky's backward error is below 3 p^2
+    eps nu_k, so lambda_min(S_k) >= mu_k = (2 _PD_GATE + 8 p^2 eps) nu_k. By
+    Weyl, lambda_min(fl(Sigma_i) - tau_i I) >= sum_k w_k mu_k - m eps N - tau_i
+    > 4 p^2 eps N, N = sum_k w_k nu_k (m eps N bounds einsum's rounding, tau_i
     <= _PD_GATE N), so Cholesky runs to completion (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Thms 10.3, 10.7; Demmel)."""
-    if not (isinstance(S, SubjectCovariances) and np.isfinite(S.cts).all()
-            and np.array_equal(S.cts, S.cts.swapaxes(1, 2))):
-        return np.zeros(len(S), dtype=bool)
-    w, p = S.proportions ** 2, S.shape[1]
+    p = S.shape[1]
     s = 2 * qp._PD_GATE + 11 * p * p * 2.0 ** -52
     bad = [dpotrf(c - s * np.abs(c).sum(axis=1).max() * np.eye(p))[1] != 0
-           for c in S.cts]
-    return (w.sum(axis=1) > 0) & (w[:, bad] == 0).all(axis=1)
+           for c in S]
+    return (H.sum(axis=1) > 0) & (H[:, bad] == 0).all(axis=1)
 
 
 def _whiten_chunk(Wv, S, Yc, first, proven):
     """`_design(Wv, Yc, m)` premultiplied by L_i^{-1}, Sigma_i = L_i L_i',
-    for each of the m subject covariances S[i] (module docstring), of which a
-    proven one is factored in place. Errors name S[i] as matrix first + i."""
-    bad = ~np.isfinite(S).all(axis=(1, 2))
-    if bad.any():
-        raise NonFinite(f"matrix {first + int(np.argmax(bad))}: "
-                        "subject covariance contains NaN/Inf")
+    for each of the m exactly symmetric subject covariances S[i], factored
+    in place (module docstring). Errors name S[i] as matrix first + i."""
     # LAPACK and BLAS one matrix at a time (scipy batches stacks only from
     # 1.15 on), all of it scipy's: numpy and scipy each bundle an OpenBLAS
     # with its own thread pool, and alternating made each wait on the other.
     X = _design(Wv, Yc, len(S))
     for i, (Si, Xi, ok) in enumerate(zip(S, X, proven), first):
-        # Sc.T equals Sc; LAPACK factors a C-ordered Sc in place
-        Sc = Si if ok else 0.5 * np.add(Si, Si.T, order="C")
-        L, info = (dpotrf(Sc.T, lower=1, clean=0, overwrite_a=1)
-                   if ok or qp._is_pd(Sc) else (None, 1))
+        # Si.T equals Si, Fortran-ordered: LAPACK factors it in place
+        L, info = (dpotrf(Si.T, lower=1, clean=0, overwrite_a=1)
+                   if ok or qp._is_pd(Si) else (None, 1))
         if info:
             raise SingularSigma(f"matrix {i}: subject covariance is not "
                                 "positive definite")
@@ -107,21 +121,21 @@ def _whiten_chunk(Wv, S, Yc, first, proven):
     return X
 
 
-def _normal_equations(Wv, S, Y=None):
-    """The whitened normal equations of the n = len(S) samples: A =
+def _normal_equations(Wv, S, H, Y=None):
+    """The whitened normal equations of the n = len(H) samples: A =
     W' Sigma_i^{-1} W (n, K, K) and, when Y (p, n) is given, a =
-    W' Sigma_i^{-1} y_i (n, K), one chunk at a time; S[sl] gives the
-    samples sl's covariances."""
+    W' Sigma_i^{-1} y_i (n, K), Sigma_i = sum_k H_ik S_k formed one chunk
+    at a time from the checked (S, H) of _subject."""
     p, K = Wv.shape
-    n = len(S)
+    n = len(H)
     A = np.empty((n, K, K))
     a = np.empty((n, K))
     size = max(1, _WHITEN_BYTES // (p * p * 8))
-    proven = _proven(S)
+    proven = _proven(S, H)
     for start in range(0, n, size):
         sl = slice(start, min(start + size, n))
-        X = _whiten_chunk(Wv, S[sl], None if Y is None else Y[:, sl], start,
-                          proven[sl])
+        X = _whiten_chunk(Wv, np.einsum('...k,kpq->...pq', H[sl], S),
+                          None if Y is None else Y[:, sl], start, proven[sl])
         M = X.transpose(0, 2, 1) @ X
         A[sl] = M[:, :K, :K]
         if Y is not None:
@@ -129,34 +143,17 @@ def _normal_equations(Wv, S, Y=None):
     return A, a
 
 
-def _sigma_stack(Wv, Sigma):
-    """Sigma as an (n, p, p) stack, and whether it was one (p, p) matrix. A
-    SubjectCovariances stays as it is: np.asarray would form all of it."""
-    streamed = isinstance(Sigma, SubjectCovariances)
-    S = Sigma if streamed else _values(Sigma)
-    p = Wv.shape[0]
-    if len(S.shape) not in (2, 3) or S.shape[-2:] != (p, p):
-        raise DimensionMismatch(
-            f"subject covariance {S.shape} does not match p={p}")
-    return (S if streamed else S.reshape(-1, p, p)), len(S.shape) == 2
-
-
-def solve_gls(W, y, Sigma) -> np.ndarray:
-    """Simplex-constrained fit of the whitened problem.
-
-    y (p,) with Sigma (p, p) gives one fit (K,); Y (p, n) with Sigma
-    (n, p, p), an array or a SubjectCovariances, gives each sample's fit,
-    (n, K). Whitening as in the module docstring."""
+def solve_gls(W, Y, S, H) -> np.ndarray:
+    """Simplex-constrained fit of each sample's whitened problem, (n, K),
+    for responses Y (p, n) and Sigma_i = sum_k H_ik S_k, S (m, p, p), H
+    (n, m). Whitening as in the module docstring."""
     Wv = _values(W)
-    S, single = _sigma_stack(Wv, Sigma)
-    Y = np.asarray(y, dtype=float)
-    p = Wv.shape[0]
-    if Y.shape != ((p,) if single else (p, len(S))):
-        raise DimensionMismatch(f"responses {Y.shape} do not match "
-                                f"{len(S)} subject covariances of size {p}")
-    A, a = _normal_equations(Wv, S, Y.reshape(p, -1))
-    return (qp.solve_simplex_normal(A[0], a[0]) if single
-            else qp.solve_simplex_normal(A, a))
+    S, H = _subject(Wv, S, H)
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape != (Wv.shape[0], len(H)):
+        raise DimensionMismatch(f"responses {Y.shape} do not match {len(H)} "
+                                f"samples of {Wv.shape[0]} genes")
+    return qp.solve_simplex_normal(*_normal_equations(Wv, S, H, Y))
 
 
 def _gls_cov(A, p) -> np.ndarray:
@@ -167,21 +164,17 @@ def _gls_cov(A, p) -> np.ndarray:
     return 0.5 * (V + V.transpose(0, 2, 1))
 
 
-def gls_covariance(W, Sigma) -> np.ndarray:
-    """Covariance (times p) of the whitened constrained estimator.
+def gls_covariance(W, S, H) -> np.ndarray:
+    """Covariances (times p) of the whitened constrained estimator, (n, K, K).
 
-    p * (A^{-1} - A^{-1} 1 (1' A^{-1} 1)^{-1} 1' A^{-1}) with A = W' Sigma^{-1} W;
-    same scale as the sandwich covariance, so /p gives the estimate covariance.
-    Sigma (p, p) gives one (K, K) covariance, Sigma (n, p, p), an array or
-    a SubjectCovariances, a stack (n, K, K).
-    """
+    p * (A^{-1} - A^{-1} 1 (1' A^{-1} 1)^{-1} 1' A^{-1}) with A =
+    W' Sigma_i^{-1} W, Sigma_i = sum_k H_ik S_k as in solve_gls; same scale
+    as the sandwich covariance, so /p gives the estimate covariance."""
     Wv = _values(W)
-    S, single = _sigma_stack(Wv, Sigma)
-    A = _normal_equations(Wv, S)[0]
-    qp.check_pd(A[0] if single else A, 1e-12, SingularDesign,
+    A = _normal_equations(Wv, *_subject(Wv, S, H))[0]
+    qp.check_pd(A, 1e-12, SingularDesign,
                 "whitened design W' Sigma^{-1} W is singular")
-    V = _gls_cov(A, Wv.shape[0])
-    return V[0] if single else V
+    return _gls_cov(A, Wv.shape[0])
 
 
 def _check_gls_options(max_iter: int) -> None:
@@ -209,6 +202,6 @@ def run_gls_iterative(W, Y, *, max_iter: int = 2) -> DecalsResult:
                        cts_covariance_raw_all(est ** 2, Yv - Wv @ est.T)])
         for S in Sk:
             S.flat[::p + 1] += _PLUGIN_RIDGE * np.trace(S) / p
-        A, a = _normal_equations(Wv, SubjectCovariances(est, Sk), Yv)
+        A, a = _normal_equations(Wv, *_subject(Wv, Sk, est ** 2), Yv)
         est = qp.solve_simplex_normal(A, a)
     return DecalsResult(est, _gls_cov(A, p) / p, Sk, max_iter, False)

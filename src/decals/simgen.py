@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .covest import SubjectCovariances, run_decals, _check_decals_options
+from .covest import run_decals, _check_decals_options
 from .deconv import (estimate_proportions, sandwich, wald_intervals,
                      _check_level)
 from .errors import (DecalsError, DimensionMismatch, DivisibilityError,
@@ -68,6 +68,11 @@ class SimConfig:
             raise ValueError("replicates must be >= 1")
         if self.noise_a0 < 0:
             raise ValueError("noise_a0 must be >= 0")
+        for name in ("dirichlet_alpha", "scale", "signature_sd"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if not (np.isfinite(v) & (v > 0)).all():
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {v.tolist()}")
 
 
 @dataclass
@@ -122,10 +127,7 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 def sample_dirichlet(alpha, n: int, rng) -> np.ndarray:
     """n iid Dirichlet(alpha) rows."""
-    alpha = np.asarray(alpha, dtype=float)
-    if (alpha <= 0).any():
-        raise ValueError("dirichlet_alpha entries must be positive")
-    return rng.dirichlet(alpha, size=n)
+    return rng.dirichlet(np.asarray(alpha, dtype=float), size=n)
 
 
 def block_correlations(p: int, K: int = 3):
@@ -231,7 +233,8 @@ def _check_options(method: str, options, K: int) -> None:
     if fit is run_gls_iterative:
         _check_gls_options(a["max_iter"])
     else:
-        _check_decals_options(K, a["max_iter"], a["tol"], a["lambdas"])
+        _check_decals_options(K, a["max_iter"], a["tol"], a["lambdas"],
+                              a["seed"])
 
 
 def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
@@ -250,9 +253,8 @@ def _fit_estimates(method: str, Wobs, Y, P, Sig, options):
         est = estimate_proportions(Wobs, Y)
         V = sandwich(Wobs, Sig, est ** 2) / p
     elif method == "gls_oracle":
-        Kmats = SubjectCovariances(P, Sig)
-        est = solve_gls(Wobs, Y, Kmats)
-        V = gls_covariance(Wobs, Kmats) / p
+        est = solve_gls(Wobs, Y, Sig, P ** 2)
+        V = gls_covariance(Wobs, Sig, P ** 2) / p
     else:                        # decals, decals_uncorrected, gls_estimated
         opts = dict(options or {})
         if method == "gls_estimated":

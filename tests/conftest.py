@@ -4,7 +4,8 @@ The two simplex-LS oracles here are deliberately independent of the package
 solver: a projected-gradient iteration and an exhaustive support enumeration.
 Next to them sit a KKT certificate and the closed-form equality-constrained
 fit, which the interior-optimum checks compare against, and the one-shot
-bias-corrected moment regression that run_decals' recombination must match.
+bias-corrected moment regression that run_decals' recombination must match,
+and the dense subject covariances the GLS tests compare the per-type form with.
 """
 
 import numpy as np
@@ -58,6 +59,14 @@ def one_sandwich(W, Sigma) -> np.ndarray:
     """Sandwich covariance of sqrt(p) * (estimate - truth) for one sample
     with subject covariance Sigma (p, p): `sandwich` on a stack of one."""
     return sandwich(W, np.asarray(Sigma, dtype=float)[None], np.ones((1, 1)))[0]
+
+
+def subject_covariance(proportions, cts) -> np.ndarray:
+    """Dense subject covariances sum_k pi_k^2 Sigma^(k), shape (..., p, p),
+    of proportions (..., K) and per-type covariances cts (K, p, p), all
+    formed at once: the stack the GLS (S, H) form builds a chunk at a time."""
+    pi = np.asarray(proportions, dtype=float)
+    return np.einsum('...k,kpq->...pq', pi ** 2, np.asarray(cts, dtype=float))
 
 
 def solve_equality_ls(W, y) -> np.ndarray:

@@ -259,6 +259,36 @@ def test_count_options_rejected_before_reading_or_writing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 64 + 5, 2 ** 128])
+@pytest.mark.parametrize("argv", [
+    ["deconvolve", "--signature", "{missing}", "--bulk", "{missing}"],
+    ["simulate", "--preset", "fig2", "--replicates", "1"],
+    ["sample", "--results", "{missing}", "--draws", "3"],
+], ids=["deconvolve", "simulate", "sample"])
+def test_a_seed_past_64_bits_is_refused_before_reading_or_writing(
+        tmp_path, capsys, argv, seed):
+    # numpy seeds take 64 bits: once an OverflowError traceback (sample), a
+    # seed silently reduced mod 2**64 (simulate) and numpy's own message
+    # (deconvolve)
+    out = tmp_path / "out"
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert main([*argv, "--seed", str(seed), "--out", str(out)]) == EXIT_INPUT
+    assert (capsys.readouterr().err
+            == f"error: --seed must be < 2**64, got {seed}\n")
+    assert not out.exists()
+
+
+def test_sample_takes_the_largest_64_bit_seed(noiseless_data, tmp_path):
+    root, _, _ = noiseless_data
+    res = tmp_path / "res"
+    assert _deconvolve(root, res) == EXIT_OK
+    draws_dir = tmp_path / "draws"
+    assert main(["sample", "--results", str(res), "--draws", "2", "--seed",
+                 str(2 ** 64 - 1), "--out", str(draws_dir)]) == EXIT_OK
+    manifest = json.loads((draws_dir / "manifest.json").read_text())
+    assert manifest["seed"] == 2 ** 64 - 1
+
+
 def test_sample_refuses_half_written_results(noiseless_data, tmp_path,
                                              capsys):
     # a deconvolve that stopped before its last file leaves no run_meta.json
@@ -546,11 +576,15 @@ def test_public_names_resolve_and_removed_names_are_gone():
     removed = {"ProportionEstimate", "confidence_intervals",
                "theorem1_covariance", "bias_terms", "BiasTerms",
                "CtsCovarianceSet", "cts_covariance_raw", "kkt_residual",
-               "solve_equality_ls", "cts_covariance_corrected"}
+               "solve_equality_ls", "cts_covariance_corrected",
+               "SubjectCovariances", "subject_covariance"}
     assert not removed & set(decals.__all__)
     assert not [n for n in removed if hasattr(decals, n)]
-    from decals import errors, simgen
+    from decals import covest, errors, gls, simgen
     for module, name in ((simgen, "resolve_workers"),
                          (simgen, "sample_gamma_copula"),
-                         (errors, "NonPositiveMean")):
+                         (errors, "NonPositiveMean"),
+                         (covest, "SubjectCovariances"),
+                         (covest, "subject_covariance"),
+                         (gls, "_sigma_stack")):
         assert not hasattr(module, name), name

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cts_covariance_corrected
-from decals import covest, qp
+from conftest import cts_covariance_corrected, subject_covariance
+from decals import covest, gls, qp
 from decals.covest import (_bias_arrays, cross_validate_lambda,
                            cts_covariance_raw_all, residuals, run_decals,
-                           scad_threshold, subject_covariance)
+                           scad_threshold)
 from decals.deconv import constraint_projector, estimate_proportions, sandwich
 from decals.errors import (DimensionMismatch, InsufficientSamples,
                            NonConvergenceWarning, SingularCorrectedMoment,
@@ -386,6 +386,13 @@ def test_subject_covariance_combination():
     assert_allclose(got, 0.25 * np.eye(3) + 0.5 * np.eye(3), atol=1e-14)
     w = np.linalg.eigvalsh(got)
     assert w[0] > 0
+    # GLS, given the per-type form (S, H = pi**2), whitens by that same
+    # combination, bytewise
+    W = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
+    y = np.array([[0.3], [0.6], [1.5]])
+    for fn, args in ((gls.solve_gls, (W, y)), (gls.gls_covariance, (W,))):
+        assert (fn(*args, S, [[0.25, 0.25]]).tobytes()
+                == fn(*args, got[None], [[1.0]]).tobytes())
 
 
 def _sim(rng, p=40, K=3, n=30, noise=0.5):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import one_sandwich
+from conftest import one_sandwich, subject_covariance
 from decals import deconv, gls
-from decals.covest import subject_covariance
 from decals.deconv import (BulkMatrix, SignatureMatrix, align_genes,
                            estimate_proportions, sandwich, wald_intervals)
 from decals.errors import GeneMismatch, NonFinite
@@ -167,9 +166,10 @@ def _batched_and_single(kernel, rng):
     if kernel == "subject_covariance":
         return subject_covariance(P, S), [subject_covariance(P[i], S)
                                           for i in range(n)]
-    Sig = subject_covariance(P, S)
-    return gls.gls_covariance(W, Sig), [gls.gls_covariance(W, Si)
-                                        for Si in Sig]
+    # GLS in the per-type form against each dense Sigma_i alone
+    return gls.gls_covariance(W, S, P ** 2), [
+        gls.gls_covariance(W, Si[None], [[1.0]])[0]
+        for Si in subject_covariance(P, S)]
 
 
 @pytest.mark.parametrize("kernel", ["sandwich", "wald_intervals",

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import enum_simplex_ls, one_sandwich
+from conftest import enum_simplex_ls, one_sandwich, subject_covariance
 from decals import gls, qp, simgen
-from decals.covest import (SubjectCovariances, cts_covariance_raw_all,
-                           subject_covariance)
+from decals.covest import cts_covariance_raw_all
 from decals.deconv import estimate_proportions
 from decals.errors import (DecalsError, DimensionMismatch, NonFinite,
                            SingularDesign, SingularSigma)
@@ -28,14 +27,34 @@ def _rand_cov(rng, p, scale=1.0):
     return A @ A.T + 0.1 * np.eye(p)
 
 
+def _known(Sigma, n=1):
+    """One known Sigma (p, p) for n samples, in the (S, H) form."""
+    return np.asarray(Sigma)[None], np.ones((n, 1))
+
+
+def _stack(S):
+    """A stack of subject covariances (n, p, p), in the (S, H) form."""
+    return S, np.eye(len(S))
+
+
+def _fit1(W, y, Sigma):
+    """The GLS fit of one response y (p,) whitened by Sigma (p, p)."""
+    return solve_gls(W, np.asarray(y)[:, None], *_known(Sigma))[0]
+
+
+def _cov1(W, Sigma):
+    """The GLS covariance of one sample whitened by Sigma (p, p)."""
+    return gls_covariance(W, *_known(Sigma))[0]
+
+
 def test_identity_sigma_equals_plain_ls():
     rng = np.random.default_rng(0)
     W, pi = _design(rng)
     y = W @ pi + rng.normal(0, 1, 30)
-    assert_allclose(solve_gls(W, y, np.eye(30)),
+    assert_allclose(_fit1(W, y, np.eye(30)),
                     qp.solve_simplex_ls(W, y), atol=1e-10)
     # scaling Sigma by a constant cannot change the estimate
-    assert_allclose(solve_gls(W, y, 7.3 * np.eye(30)),
+    assert_allclose(_fit1(W, y, 7.3 * np.eye(30)),
                     qp.solve_simplex_ls(W, y), atol=1e-10)
 
 
@@ -50,7 +69,7 @@ def test_whitened_objective_matches_enumeration():
         a = W.T @ Si @ y
         L = np.linalg.cholesky(G)   # exact oracle through the normal form
         ref = enum_simplex_ls(L.T, np.linalg.solve(L, a))
-        assert_allclose(solve_gls(W, y, S), ref, atol=1e-8)
+        assert_allclose(_fit1(W, y, S), ref, atol=1e-8)
 
 
 def test_gls_covariance_iid_matches_sandwich():
@@ -58,7 +77,7 @@ def test_gls_covariance_iid_matches_sandwich():
     rng = np.random.default_rng(2)
     W, _ = _design(rng, p=40)
     s2 = 2.3
-    assert_allclose(gls_covariance(W, s2 * np.eye(40)),
+    assert_allclose(_cov1(W, s2 * np.eye(40)),
                     one_sandwich(W, s2 * np.eye(40)), atol=1e-8)
 
 
@@ -66,7 +85,7 @@ def test_gls_covariance_structure_and_efficiency():
     rng = np.random.default_rng(3)
     W, _ = _design(rng, p=35)
     S = _rand_cov(rng, 35)
-    Vg = gls_covariance(W, S)
+    Vg = _cov1(W, S)
     Vo = one_sandwich(W, S)
     assert_allclose(Vg, Vg.T, atol=1e-10)
     assert_allclose(Vg @ np.ones(3), 0.0, atol=1e-8)
@@ -82,7 +101,7 @@ def test_singular_sigma_raises():
     W, _ = _design(rng)
     with pytest.raises(SingularSigma, match="^matrix 0: subject covariance "
                        "is not positive definite$"):
-        solve_gls(W, np.ones(30), np.zeros((30, 30)))
+        _fit1(W, np.ones(30), np.zeros((30, 30)))
 
 
 def test_downweights_corrupted_high_variance_gene():
@@ -92,7 +111,7 @@ def test_downweights_corrupted_high_variance_gene():
     y[0] += 50.0                             # gross error on gene 0
     S = np.eye(30)
     S[0, 0] = 1e4                            # which GLS knows is unreliable
-    x_gls = solve_gls(W, y, S)
+    x_gls = _fit1(W, y, S)
     x_ols = qp.solve_simplex_ls(W, y)
     assert np.abs(x_gls - pi).max() < 1e-2
     assert np.abs(x_ols - pi).max() > 10 * np.abs(x_gls - pi).max()
@@ -144,7 +163,7 @@ def test_oracle_weighting_recovers_truth_better_than_identity():
     err_gls, err_ols = 0.0, 0.0
     for _ in range(200):
         y = W @ pi + L @ rng.standard_normal(p)
-        err_gls += np.abs(solve_gls(W, y, S) - pi).sum()
+        err_gls += np.abs(_fit1(W, y, S) - pi).sum()
         err_ols += np.abs(qp.solve_simplex_ls(W, y) - pi).sum()
     assert err_gls < err_ols
 
@@ -213,9 +232,9 @@ def test_whitening_matches_the_eigendecomposition():
     y = W @ pi + rng.normal(0, 1, p)
     for S in _pd_stack(rng, p)[:2]:
         tol = _oracle_tol(S)
-        assert_allclose(solve_gls(W, y, S), _old_solve_gls(W, y, S),
+        assert_allclose(_fit1(W, y, S), _old_solve_gls(W, y, S),
                         rtol=tol, atol=1e-14)
-        assert_allclose(gls_covariance(W, S), _old_gls_covariance(W, S),
+        assert_allclose(_cov1(W, S), _old_gls_covariance(W, S),
                         rtol=tol, atol=1e-14)
 
 
@@ -233,17 +252,18 @@ def test_whitening_refuses_a_matrix_the_gate_refuses(at, monkeypatch):
         S[at] = bad
         msg = f"^matrix {at}: subject covariance is not positive definite$"
         with pytest.raises(SingularSigma, match=msg):
-            solve_gls(W, Y, S)
+            solve_gls(W, Y, *_stack(S))
         with pytest.raises(SingularSigma, match=msg):
-            gls_covariance(W, S)
+            gls_covariance(W, *_stack(S))
         with pytest.raises(SingularSigma, match="^matrix 0: "):
-            gls_covariance(W, bad)
+            _cov1(W, bad)
 
 
 def test_a_factor_that_fails_after_the_gate_raises(monkeypatch):
     # rounding could let Sigma - tau I factor (the gate, qp._is_pd) and
     # Sigma not; gls.dpotrf sees only that unshifted factor, and its failure
-    # is refused like the gate's
+    # is refused like the gate's. The certificate's shifted factor (no
+    # keywords) is failed as well, so the matrix takes the gate.
     rng = np.random.default_rng(25)
     p = 12
     W, pi = _design(rng, p=p)
@@ -253,40 +273,39 @@ def test_a_factor_that_fails_after_the_gate_raises(monkeypatch):
 
     def unshifted_fails(a, **kwargs):
         c, info = real(a, **kwargs)
-        calls.append(info)
+        if kwargs:
+            calls.append(info)
         return c, 1
 
     monkeypatch.setattr(gls, "dpotrf", unshifted_fails)
+    gates = _count_gates(monkeypatch)
     with pytest.raises(SingularSigma, match="^matrix 0: subject covariance "
                        "is not positive definite$"):
-        solve_gls(W, y, S)
-    assert calls == [0]
+        _fit1(W, y, S)
+    assert calls == [0] and gates == [True]
 
 
 def test_whitening_asks_the_qp_gate_once_per_matrix(monkeypatch):
     # gls and nearest_psd share one gate: whitening asks qp._is_pd once per
-    # subject covariance, and stops at the first one it refuses
+    # subject covariance the certificate does not prove (here each has its
+    # smallest eigenvalue at twice the gate's shift), never for one it
+    # proves (the last two), and stops at the first one it refuses
     rng = np.random.default_rng(16)
     p = 20
     W, _ = _design(rng, p=p)
-    S = np.concatenate([_pd_stack(rng, p),
+    S = np.concatenate([_gated_types(rng, p, [2.0] * 4),
                         np.stack([_rand_cov(rng, p) for _ in range(2)])])
-    real, verdicts = qp._is_pd, []
-
-    def counting(M):
-        verdicts.append(real(M))
-        return verdicts[-1]
-
-    monkeypatch.setattr(qp, "_is_pd", counting)
-    gls_covariance(W, S)
-    assert verdicts == [True] * len(S)
+    assert_array_equal(gls._proven(*_stack(S)), [False] * 4 + [True] * 2)
+    verdicts = _count_gates(monkeypatch)
+    gls_covariance(W, *_stack(S))
+    assert verdicts == [True] * 4
     Y = W @ rng.dirichlet([3, 2, 1], len(S)).T
-    solve_gls(W, Y, S)
-    assert verdicts == [True] * (2 * len(S))
+    solve_gls(W, Y, *_stack(S))
+    assert verdicts == [True] * 8
     verdicts.clear()
     S[2] = _not_pd_stack(rng, p)[1]
     with pytest.raises(SingularSigma, match="^matrix 2: "):
-        gls_covariance(W, S)
+        gls_covariance(W, *_stack(S))
     assert verdicts == [True, True, False]
 
 
@@ -304,12 +323,14 @@ def test_stacked_calls_equal_one_sample_calls(chunk, monkeypatch):
     Y = W @ P.T + rng.normal(0, 1, (p, n))
     per = {"one": 1, "two": 2, "all": n}[chunk]
     monkeypatch.setattr(gls, "_WHITEN_BYTES", per * p * p * 8)
-    est = solve_gls(W, Y, S)
-    V = gls_covariance(W, S)
+    H = np.eye(n)
+    est = solve_gls(W, Y, S, H)
+    V = gls_covariance(W, S, H)
     assert est.shape == (n, 3) and V.shape == (n, 3, 3)
     for i in range(n):
-        assert_array_equal(est[i], solve_gls(W, Y[:, i], S[i]))
-        assert_array_equal(V[i], gls_covariance(W, S[i]))
+        assert_array_equal(est[i],
+                           solve_gls(W, Y[:, i:i + 1], S, H[i:i + 1])[0])
+        assert_array_equal(V[i], gls_covariance(W, S, H[i:i + 1])[0])
         # and the eigendecomposition oracle, up to its rounding
         tol = _oracle_tol(S[i])
         assert_allclose(est[i], _old_solve_gls(W, Y[:, i], S[i]), rtol=tol,
@@ -322,26 +343,31 @@ def test_stacked_shapes_are_checked():
     rng = np.random.default_rng(13)
     W, _ = _design(rng, p=10)
     S = np.stack([np.eye(10)] * 3)
+    H = np.eye(3)
     with pytest.raises(DimensionMismatch):
-        solve_gls(W, np.ones((10, 2)), S)     # 2 responses, 3 covariances
+        solve_gls(W, np.ones((10, 2)), S, H)  # 2 responses, 3 samples
     with pytest.raises(DimensionMismatch):
-        solve_gls(W, np.ones(10), S)
+        solve_gls(W, np.ones(10), S, H)
     with pytest.raises(DimensionMismatch):
-        gls_covariance(W, np.eye(9))
+        gls_covariance(W, *_known(np.eye(9)))
+    with pytest.raises(DimensionMismatch):
+        gls_covariance(W, S, np.ones((3, 2)))  # 2 weights, 3 covariances
+    with pytest.raises(DimensionMismatch):
+        gls_covariance(W, S, np.ones(3))
     with pytest.raises(NonFinite,
-                       match="^matrix 1: subject covariance contains NaN/Inf"):
+                       match="^covariance 1 of S contains NaN/Inf$"):
         S[1, 2, 3] = np.nan
-        gls_covariance(W, S)
+        gls_covariance(W, S, H)
     with pytest.raises(SingularSigma, match="^matrix 1: subject covariance is "
                        "not positive definite$"):
-        solve_gls(W, np.ones((10, 3)), np.stack([np.eye(10), -np.eye(10),
-                                                 np.eye(10)]))
+        solve_gls(W, np.ones((10, 3)), *_stack(np.stack([
+            np.eye(10), -np.eye(10), np.eye(10)])))
     with pytest.raises(NonFinite, match="^matrix 2: normal equations"):
         solve_gls(W, np.vstack([np.ones((9, 3)), [1.0, 1.0, np.nan]]),
-                  np.stack([np.eye(10)] * 3))
+                  *_known(np.eye(10), 3))
     with pytest.raises(SingularDesign, match="^matrix 0: moment matrix"):
         solve_gls(np.column_stack([W[:, 0], W]), np.ones((10, 3)),
-                  np.stack([np.eye(10)] * 3))
+                  *_known(np.eye(10), 3))
 
 
 def test_whitening_calls_scipy_on_single_matrices(monkeypatch):
@@ -368,8 +394,8 @@ def test_whitening_calls_scipy_on_single_matrices(monkeypatch):
                         _pd_stack(rng, p)])
     Y = W @ rng.dirichlet([3, 2, 1], len(S)).T + rng.normal(0, 1, (p, len(S)))
     monkeypatch.setattr(gls, "_WHITEN_BYTES", 4 * p * p * 8)
-    solve_gls(W, Y, S)
-    gls_covariance(W, S)
+    solve_gls(W, Y, *_stack(S))
+    gls_covariance(W, *_stack(S))
     assert {"dpotrf", "dtrtrs"} <= set(seen)
 
 
@@ -381,15 +407,15 @@ def test_whitening_does_not_depend_on_the_memory_layout():
     W, _ = _design(rng, p=p)
     S = np.stack([_rand_cov(rng, p) for _ in range(5)])
     Y = W @ rng.dirichlet([3, 2, 1], len(S)).T + rng.normal(0, 1, (p, len(S)))
-    est, V = solve_gls(W, Y, S), gls_covariance(W, S)
+    est, V = solve_gls(W, Y, *_stack(S)), gls_covariance(W, *_stack(S))
     last = np.ascontiguousarray(np.moveaxis(S, 0, -1))     # (p, p, n)
     for T in (np.asfortranarray(S), np.moveaxis(last, -1, 0)):
         assert not T.flags.c_contiguous
-        assert_allclose(solve_gls(W, Y, T), est, rtol=0, atol=1e-15)
-        assert_allclose(gls_covariance(W, T), V, rtol=1e-14)
+        assert_allclose(solve_gls(W, Y, *_stack(T)), est, rtol=0, atol=1e-15)
+        assert_allclose(gls_covariance(W, *_stack(T)), V, rtol=1e-14)
     one = np.asfortranarray(S[2])
-    assert_allclose(solve_gls(W, Y[:, 2], one), est[2], rtol=0, atol=1e-15)
-    assert_allclose(gls_covariance(W, one), V[2], rtol=1e-14)
+    assert_allclose(_fit1(W, Y[:, 2], one), est[2], rtol=0, atol=1e-15)
+    assert_allclose(_cov1(W, one), V[2], rtol=1e-14)
 
 
 def _plug_in(S):
@@ -478,10 +504,10 @@ def test_two_step_estimate_and_covariance_share_one_plug_in(r):
     # returned covariance is that same fit's, byte for byte
     _, Wobs, P, Y, Sig = replicate_dataset(SimConfig(), replicate_rng(0, r))
     res = run_gls_iterative(Wobs, Y, max_iter=2)
-    S = SubjectCovariances(estimate_proportions(Wobs, Y), res.cts_covariances)
-    assert res.proportions.tobytes() == solve_gls(Wobs, Y, S).tobytes()
+    S, H = res.cts_covariances, estimate_proportions(Wobs, Y) ** 2
+    assert res.proportions.tobytes() == solve_gls(Wobs, Y, S, H).tobytes()
     assert (res.covariances.tobytes()
-            == (gls_covariance(Wobs, S) / Wobs.shape[0]).tobytes())
+            == (gls_covariance(Wobs, S, H) / Wobs.shape[0]).tobytes())
 
 
 @pytest.mark.parametrize("p, n", [(24, 200), (12, 500), (16, 400)])
@@ -554,18 +580,22 @@ def _count_gates(monkeypatch):
 def test_per_type_stack_gives_the_materialised_results_bytewise(
         r, monkeypatch):
     # desk replicates of the gls_oracle arm: the per-type form proves every
-    # matrix, so no gate is asked, and the bytes are the gated array's
+    # matrix, so no gate is asked, and the bytes are those of the dense
+    # stack taken through the gate, matrix by matrix; rows of the per-type
+    # form give the same rows
     _, Wobs, P, Y, Sig = replicate_dataset(SimConfig(), replicate_rng(0, r))
-    S = SubjectCovariances(P, Sig)
+    H = P ** 2
     full = subject_covariance(P, Sig)
-    assert S.shape == full.shape and len(S) == len(full)
-    assert S[5:9].tobytes() == full[5:9].tobytes()
-    assert S[7].tobytes() == full[7].tobytes()
     gates = _count_gates(monkeypatch)
-    got = solve_gls(Wobs, Y, S).tobytes(), gls_covariance(Wobs, S).tobytes()
+    est, V = solve_gls(Wobs, Y, Sig, H), gls_covariance(Wobs, Sig, H)
     assert gates == []
-    assert got == (solve_gls(Wobs, Y, full).tobytes(),
-                   gls_covariance(Wobs, full).tobytes())
+    assert (solve_gls(Wobs, Y[:, 5:9], Sig, H[5:9]).tobytes()
+            == est[5:9].tobytes())
+    assert gls_covariance(Wobs, Sig, H[7:8]).tobytes() == V[7].tobytes()
+    monkeypatch.setattr(gls, "_proven", lambda S, H: np.zeros(len(H), bool))
+    assert (est.tobytes(), V.tobytes()) == (
+        solve_gls(Wobs, Y, *_stack(full)).tobytes(),
+        gls_covariance(Wobs, *_stack(full)).tobytes())
     assert gates == [True] * (2 * len(full))
 
 
@@ -583,25 +613,52 @@ def test_per_type_stack_errors_match_the_materialised_ones(monkeypatch):
     P = rng.dirichlet([3, 2, 1], n)
     Y = W @ P.T
     monkeypatch.setattr(gls, "_WHITEN_BYTES", 2 * p * p * 8)
-    # a non-finite entry in the third chunk is named by its absolute index
+    # a non-finite proportion in the third chunk is named by its absolute
+    # index: as a weight of the per-type form, and as the dense stack's
+    # covariance that it makes non-finite
     P[5, 1] = np.nan
     for fn, args in ((solve_gls, (W, Y)), (gls_covariance, (W,))):
-        want = _error(fn, *args, subject_covariance(P, Sig))
-        assert want == (NonFinite, "matrix 5: subject covariance contains "
-                        "NaN/Inf")
-        assert _error(fn, *args, SubjectCovariances(P, Sig)) == want
+        assert _error(fn, *args, *_stack(subject_covariance(P, Sig))) == (
+            NonFinite, "covariance 5 of S contains NaN/Inf")
+        with pytest.raises(ValueError, match=r"^sample 5: weights must be "
+                           r"finite and >= 0, got \[.*nan"):
+            fn(*args, Sig, P ** 2)
     P[5, 1] = 0.2
-    # K mismatch, raised where the stack is made
-    want = _error(subject_covariance, P[:, :2], Sig)
-    assert want == (DimensionMismatch,
-                    "2 proportions vs 3 covariance matrices")
-    assert _error(SubjectCovariances, P[:, :2], Sig) == want
+    # K mismatch between the weights and the covariances
+    for fn, args in ((solve_gls, (W, Y)), (gls_covariance, (W,))):
+        assert _error(fn, *args, Sig, P[:, :2] ** 2) == (
+            DimensionMismatch, "covariances S (3, 10, 10) and weights H "
+            "(7, 2) do not match p=10; need (m, 10, 10) and (n, m)")
     # p mismatch against W
     for fn, args in ((solve_gls, (W[1:], Y[1:])), (gls_covariance, (W[1:],))):
-        want = _error(fn, *args, subject_covariance(P, Sig))
-        assert want == (DimensionMismatch,
-                        "subject covariance (7, 10, 10) does not match p=9")
-        assert _error(fn, *args, SubjectCovariances(P, Sig)) == want
+        assert _error(fn, *args, *_stack(subject_covariance(P, Sig))) == (
+            DimensionMismatch, "covariances S (7, 10, 10) and weights H "
+            "(7, 7) do not match p=9; need (m, 9, 9) and (n, m)")
+        assert _error(fn, *args, Sig, P ** 2) == (
+            DimensionMismatch, "covariances S (3, 10, 10) and weights H "
+            "(7, 3) do not match p=9; need (m, 9, 9) and (n, m)")
+
+
+@pytest.mark.parametrize("weight", [-1e-300, -0.5, np.nan, np.inf, -np.inf])
+def test_a_negative_or_non_finite_weight_is_refused(weight, monkeypatch):
+    # the certificate's Weyl bound needs every weight >= 0, which squared
+    # proportions always were: a bad weight is refused, naming its sample,
+    # before any matrix is formed or factored
+    rng = np.random.default_rng(28)
+    p, n = 10, 6
+    W, _ = _design(rng, p=p)
+    Sig = np.stack([_rand_cov(rng, p) for _ in range(3)])
+    P = rng.dirichlet([3, 2, 1], n)
+    H = P ** 2
+    H[4, 2] = weight
+    factors = []
+    monkeypatch.setattr(gls, "dpotrf", lambda *a, **k: factors.append(a))
+    for fn, args in ((solve_gls, (W, W @ P.T)), (gls_covariance, (W,))):
+        with pytest.raises(ValueError) as err:
+            fn(*args, Sig, H)
+        assert str(err.value) == ("sample 4: weights must be finite and >= "
+                                  f"0, got {H[4].tolist()}")
+    assert factors == []
 
 
 def _gated_types(rng, p, cs):
@@ -631,19 +688,19 @@ def test_the_certificate_admits_only_what_the_gate_passes(p):
     P[11:21, 3:] = rng.dirichlet(np.ones(3), 10)
     P[21:31, 4:] = rng.dirichlet(np.full(2, 0.2), 10)
     P[31:] = np.eye(6)
-    S = SubjectCovariances(P, C)
-    proven = gls._proven(S)
+    S, H = gls._subject(np.empty((p, 6)), C, P ** 2)
+    assert S.tobytes() == C.tobytes()        # C is exactly symmetric
+    full = subject_covariance(P, C)
+    proven = gls._proven(S, H)
     for i in np.flatnonzero(proven):
-        assert qp._is_pd(S[i]), i
-        assert_array_equal(S[i], S[i].T)
+        assert qp._is_pd(full[i]), i
+        assert_array_equal(full[i], full[i].T)
     assert proven.any() and not proven.all()
     # a type is proven only well above twice the shift, and a mixture only
     # when all its types are
     want = np.zeros(37, dtype=bool)
     want[21:31] = want[35:] = True
     assert_array_equal(proven, want)
-    # a plain array is never proven
-    assert not gls._proven(S[:]).any()
 
 
 def test_per_type_stack_falls_back_to_the_gate(monkeypatch):
@@ -660,27 +717,32 @@ def test_per_type_stack_falls_back_to_the_gate(monkeypatch):
     monkeypatch.setattr(gls, "_WHITEN_BYTES", 2 * p * p * 8)
     gates = _count_gates(monkeypatch)
 
-    def bytewise(S, uncertified):
-        assert_array_equal(np.flatnonzero(~gls._proven(S)), uncertified)
-        full = S[:]
+    def bytewise(P, C, uncertified):
+        # the dense stack is formed from the types symmetrized, as the
+        # per-type form symmetrizes them
+        H, sym = P ** 2, 0.5 * (C + C.swapaxes(1, 2))
+        assert_array_equal(np.flatnonzero(~gls._proven(sym, H)), uncertified)
+        full = subject_covariance(P, sym)
         gates.clear()
-        got = solve_gls(W, Y, S).tobytes(), gls_covariance(W, S).tobytes()
+        got = (solve_gls(W, Y, C, H).tobytes(),
+               gls_covariance(W, C, H).tobytes())
         assert gates == [True] * (2 * len(uncertified))
-        assert got == (solve_gls(W, Y, full).tobytes(),
-                       gls_covariance(W, full).tobytes())
+        assert got == (solve_gls(W, Y, *_stack(full)).tobytes(),
+                       gls_covariance(W, *_stack(full)).tobytes())
 
-    bytewise(SubjectCovariances(P, Sig), [])
-    # one entry of one C_k a unit in the last place off symmetry
+    bytewise(P, Sig, [])
+    # one entry of one C_k a unit in the last place off symmetry: the type
+    # is symmetrized once, and then every matrix is proven
     odd = Sig.copy()
     odd[1, 2, 5] = np.nextafter(odd[1, 2, 5], np.inf)
-    bytewise(SubjectCovariances(P, odd), range(n))
+    bytewise(P, odd, [])
     # a type at twice the gate's shift, alone in samples 1 and 6 and mixed
     # in sample 3
     P2 = P.copy()
     P2[[1, 6]] = [1.0, 0.0, 0.0]
     P2[3] = [0.5, 0.3, 0.2]
-    bytewise(SubjectCovariances(P2, np.concatenate(
-        [_gated_types(rng, p, [2.0]), Sig[1:]])), [1, 3, 6])
+    bytewise(P2, np.concatenate([_gated_types(rng, p, [2.0]), Sig[1:]]),
+             [1, 3, 6])
     # a singular C_k, mixed in sample 2, which the gate passes, and alone in
     # sample 4, which it refuses
     sing = Sig.copy()
@@ -688,13 +750,12 @@ def test_per_type_stack_falls_back_to_the_gate(monkeypatch):
     sing[0] = 0.5 * (A @ A.T + (A @ A.T).T)
     P[2] = [0.5, 0.3, 0.2]
     P[4] = [1.0, 0.0, 0.0]
-    S3 = SubjectCovariances(P, sing)
     for fn, args in ((solve_gls, (W, Y)), (gls_covariance, (W,))):
-        want = _error(fn, *args, S3[:])
+        want = _error(fn, *args, *_stack(subject_covariance(P, sing)))
         assert want == (SingularSigma, "matrix 4: subject covariance is not "
                         "positive definite")
         gates.clear()
-        assert _error(fn, *args, S3) == want
+        assert _error(fn, *args, sing, P ** 2) == want
         assert gates == [True, False]
 
 

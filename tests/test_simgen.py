@@ -158,6 +158,50 @@ def _count_datasets(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("bad, error, message", [
+    ({"K": 1, "dirichlet_alpha": (1.0,)}, DimensionMismatch,
+     "dirichlet_alpha length 1 != K=1"),
+    ({"dirichlet_alpha": (3.0, 2.0)}, DimensionMismatch,
+     "dirichlet_alpha length 2 != K=3"),
+    ({"p": 100}, DivisibilityError,
+     "block design needs p divisible by K, got p=100, K=3"),
+    ({"replicates": 0}, ValueError, "replicates must be >= 1"),
+    ({"noise_a0": -0.1}, ValueError, "noise_a0 must be >= 0"),
+    ({"dirichlet_alpha": (3.0, 0.0, 1.0)}, ValueError,
+     "dirichlet_alpha must be finite and > 0, got [3.0, 0.0, 1.0]"),
+    ({"dirichlet_alpha": (3.0, float("nan"), 1.0)}, ValueError,
+     "dirichlet_alpha must be finite and > 0, got [3.0, nan, 1.0]"),
+    ({"dirichlet_alpha": (3.0, 2.0, float("inf"))}, ValueError,
+     "dirichlet_alpha must be finite and > 0, got [3.0, 2.0, inf]"),
+    ({"scale": -1.0}, ValueError, "scale must be finite and > 0, got -1.0"),
+    ({"scale": 0.0}, ValueError, "scale must be finite and > 0, got 0.0"),
+    ({"scale": float("nan")}, ValueError,
+     "scale must be finite and > 0, got nan"),
+    ({"signature_sd": -1}, ValueError,
+     "signature_sd must be finite and > 0, got -1.0"),
+    ({"signature_sd": float("inf")}, ValueError,
+     "signature_sd must be finite and > 0, got inf"),
+], ids=["K", "alpha-length", "p", "replicates", "noise_a0", "alpha-zero",
+        "alpha-nan", "alpha-inf", "scale-negative", "scale-zero", "scale-nan",
+        "signature_sd-negative", "signature_sd-inf"])
+def test_sim_config_refuses_a_bad_value_before_any_replicate(
+        monkeypatch, bad, error, message):
+    # refused where the design is configured, so neither the harness nor
+    # the covariance-error study, which builds its configs before any job,
+    # generates a dataset
+    calls = _count_datasets(monkeypatch)
+    with pytest.raises(error) as err:
+        coverage_experiment(SimConfig(**{"p": 30, "n": 20, "replicates": 2,
+                                         **bad}), "ols")
+    assert str(err.value) == message
+    if "signature_sd" in bad:
+        with pytest.raises(error) as err:
+            v_error_study(p_values=(30,), n=20, replicates=1,
+                          signature_sds=(1.0, bad["signature_sd"]))
+        assert str(err.value) == message
+    assert calls == []
+
+
 @pytest.mark.parametrize("workers", [0, -3],
                          ids=["direct-zero", "direct-negative"])
 def test_worker_counts_below_one_are_rejected(monkeypatch, workers):
@@ -191,6 +235,7 @@ def test_worker_counts_below_one_are_rejected(monkeypatch, workers):
      "method 'decals_oracle' takes no options"),
     ("gls_oracle", {"max_iter": 2}, TypeError,
      "method 'gls_oracle' takes no options"),
+    ("decals", {"seed": -1}, ValueError, "seed must be >= 0, got -1"),
 ])
 def test_method_options_are_refused_before_any_replicate(
         monkeypatch, method, options, error, message):
