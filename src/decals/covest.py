@@ -40,7 +40,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from . import qp
 from .deconv import (BOUNDARY_TOL, constraint_projector,
@@ -124,6 +123,7 @@ def cts_covariance_raw_all(H_hat, Z) -> np.ndarray:
     The moments come from scipy's BLAS, like the GLS whitening they feed:
     numpy and scipy each bundle an OpenBLAS with its own thread pool, and
     one pool's spinning threads slowed the other's threaded products."""
+    from scipy.linalg.blas import dgemm
     H = np.asarray(H_hat, dtype=float)
     Z = np.asarray(Z, dtype=float)
     C = np.linalg.solve(_moment_matrix(H), H.T)          # (K, n)

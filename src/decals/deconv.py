@@ -7,17 +7,19 @@ because the sum-to-one constraint removes variation along it. `sandwich`
 builds V for every sample at once at the sqrt(p) scale, so that V/p is the
 covariance of the estimate itself; a fit result stores the /p scale since
 that is what intervals use, and `wald_intervals` builds them for every
-sample at once.
+sample at once, with z from a port of Cephes' ndtri (Moshier, Methods and
+Programs for Mathematical Functions, 1989), scipy.special.ndtri's bits.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import qp
 from .errors import (DimensionMismatch, GeneMismatch, NonFinite,
@@ -26,6 +28,27 @@ from .errors import (DimensionMismatch, GeneMismatch, NonFinite,
 # A proportion this close to 0 sits on the boundary where the normal
 # approximation for its estimate is not guaranteed.
 BOUNDARY_TOL = 1e-6
+# Cephes ndtri's (P, Q) as doubles, Q's leading 1 implied: in (y - 0.5)^2 for
+# |y - 0.5| < 0.5 - exp(-2), else in 1 / sqrt(-2 log y) above/below exp(-32)
+_NDTRI = (
+    ((-59.96335010141079, 98.00107541859997, -56.67628574690703,
+      13.931260938727968, -1.2391658386738125),
+     (1.9544885833814176, 4.676279128988815, 86.36024213908905,
+      -225.46268785411937, 200.26021238006066, -82.03722561683334,
+      15.90562251262117, -1.1833162112133)),
+    ((4.0554489230596245, 31.525109459989388, 57.16281922464213,
+      44.08050738932008, 14.684956192885803, 2.1866330685079025,
+      -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854),
+     (15.779988325646675, 45.39076351288792, 41.3172038254672,
+      15.04253856929075, 2.504649462083094, -0.14218292285478779,
+      -0.03808064076915783, -0.0009332594808954574)),
+    ((3.2377489177694603, 6.915228890689842, 3.9388102529247444,
+      1.3330346081580755, 0.20148538954917908, 0.012371663481782003,
+      0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09),
+     (6.02427039364742, 3.6798356385616087, 1.3770209948908132,
+      0.21623699359449663, 0.013420400608854318, 0.00032801446468212774,
+      2.8924786474538068e-06, 6.790194080099813e-09)))
+_EXP_M2 = 0.13533528323661269189
 
 
 @dataclass
@@ -148,12 +171,33 @@ def _check_level(level: float) -> None:
         raise ValueError(f"level must be in (0,1), got {level}")
 
 
+def _ndtri(y: float) -> float:
+    """Cephes' ndtri, operation for operation: the N(0, 1) quantile of y."""
+    if not 0.0 < y < 1.0:
+        return -math.inf if y == 0.0 else math.inf if y == 1.0 else math.nan
+    upper = y > 1.0 - _EXP_M2
+    y = 1.0 - y if upper else y
+    central = y > _EXP_M2
+    if central:
+        y -= 0.5
+        x, (P, Q) = y * y, _NDTRI[0]
+    else:
+        t = math.sqrt(-2.0 * math.log(y))
+        x, (P, Q) = 1.0 / t, _NDTRI[1 if t < 8.0 else 2]
+    r = x * reduce(lambda s, c: s * x + c, P) / reduce(
+        lambda s, c: s * x + c, Q, 1.0)
+    if central:
+        return (y + y * r) * 2.50662827463100050242          # sqrt(2 pi)
+    t = t - math.log(t) / t - r
+    return t if upper else -t
+
+
 def wald_intervals(P, var, level: float):
     """Wald intervals estimate +- z * sd, truncated to [0, 1].
 
     P and var (per-coordinate variances, negatives read as 0) share any
     shape; returns (lower, upper) of that shape."""
     _check_level(level)
-    z = ndtri(0.5 * (1.0 + level))
+    z = _ndtri(0.5 * (1.0 + level))
     half = z * np.sqrt(np.clip(var, 0.0, None))
     return np.clip(P - half, 0.0, 1.0), np.clip(P + half, 0.0, 1.0)

@@ -30,7 +30,6 @@ estimator behaves when its weight matrix must be estimated.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from . import qp
 from .covest import DecalsResult, cts_covariance_raw_all
@@ -95,6 +94,7 @@ def _proven(S, H) -> np.ndarray:
     > 4 p^2 eps N, N = sum_k w_k nu_k (m eps N bounds einsum's rounding, tau_i
     <= _PD_GATE N), so Cholesky runs to completion (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Thms 10.3, 10.7; Demmel)."""
+    from scipy.linalg.lapack import dpotrf
     p = S.shape[1]
     s = 2 * qp._PD_GATE + 11 * p * p * 2.0 ** -52
     bad = [dpotrf(c - s * np.abs(c).sum(axis=1).max() * np.eye(p))[1] != 0
@@ -109,6 +109,7 @@ def _whiten_chunk(Wv, S, Yc, first, proven):
     # LAPACK and BLAS one matrix at a time (scipy batches stacks only from
     # 1.15 on), all of it scipy's: numpy and scipy each bundle an OpenBLAS
     # with its own thread pool, and alternating made each wait on the other.
+    from scipy.linalg.lapack import dpotrf, dtrtrs
     X = _design(Wv, Yc, len(S))
     for i, (Si, Xi, ok) in enumerate(zip(S, X, proven), first):
         # Si.T equals Si, Fortran-ordered: LAPACK factors it in place

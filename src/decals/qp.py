@@ -5,14 +5,14 @@ singularity check every module applies with its own floor and exception.
 The simplex solver is a dual active-set method (Goldfarb-Idnani): start at the
 unconstrained minimizer, impose the sum-to-one equality first, then add violated
 nonnegativity constraints one at a time, taking the dual-feasible step length at
-each move. The design dimension K is small, so per-step systems are solved
-directly against one Cholesky factorization of W'W. Both entry points take
-stacks: `solve_simplex_ls` a matrix of responses against one W'W, checked and
-factored once, and `solve_simplex_normal` a stack of normal equations. The
-first phase, the unconstrained start and the sum-to-one step, runs for the
-whole stack at once, elementwise across its members; in the same function,
-one loop then takes the members whose step leaves the simplex, one at a
-time, through the rest of the active set.
+each move. Both entry points take stacks: `solve_simplex_ls` a matrix of
+responses against one W'W, checked and factored once, and
+`solve_simplex_normal` a stack of normal equations. The first phase, the
+unconstrained start and the sum-to-one step, runs for the whole stack at
+once, elementwise across its members, and also solves for each member's
+G^{-1} E', E the K + 1 constraint normals. One loop then takes the members
+whose step leaves the simplex through the rest of the active set, one at a
+time; every step reads its systems from G^{-1} E', solving nothing anew.
 
 The PSD projection clips negative eigenvalues at zero. The thresholded
 covariances it receives are often positive definite already, and otherwise
@@ -28,8 +28,6 @@ neither: its diagonal is clipped at zero.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh
-from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionMismatch, MaxIterations, NonFinite, SingularDesign
 
@@ -161,24 +159,23 @@ def _solve_stack(L, a, name):
     until every entry is at least _FEASIBLE. MaxIterations from row i is
     prefixed with name(i), or not at all when name is None."""
     n, K = a.shape
-    L = np.broadcast_to(L, (n, K, K))
-    X = _cho_solve_rows(L, np.stack([a, np.ones((n, K))], axis=2))
-    pi, z = X[:, :, 0], X[:, :, 1]
+    # constraint normals: row 0 is the equality, row k pins pi[k-1] at 0
+    E = np.vstack([np.ones(K), np.eye(K)])
+    # X[i] = G_i^{-1} [a_i | E']; z = G_i^{-1} 1 is the equality's column
+    X = _cho_solve_rows(L, np.concatenate(
+        [a[:, :, None], np.broadcast_to(E.T, (n, K, K + 1))], axis=2))
+    pi, z, GE = X[:, :, 0], X[:, :, 1], X[:, :, 1:]
     viol = 1.0 - _row_sum(pi)
     denom = _row_sum(z)
     ok = _step_ok(denom, viol)
     t = viol / np.where(ok, denom, 1.0)
     pi = pi + t[:, None] * z
-    # constraint normals: row 0 is the equality, row k pins pi[k-1] at 0
-    E = np.vstack([np.ones(K), np.eye(K)])
     cap = 50 * (K + 1)
     for i in np.flatnonzero(~ok | (pi.min(axis=1) < _FEASIBLE)):
         where = "" if name is None else f"{name(i)}: "
         if not ok[i]:
             raise MaxIterations(where + "no feasible step; constraints "
                                 "degenerate")
-        # cho_solve's pair for G_i; the solves skip scipy's finiteness checks
-        c = (L[i].T, False)
         x, act, u = pi[i], [0], np.array([t[i]])
         changes = 1                          # the first phase's equality
         while not x.min() >= _FEASIBLE:      # a NaN entry stays in the loop
@@ -192,8 +189,7 @@ def _solve_stack(L, a, name):
                 # N is C-ordered: its layout picks the BLAS kernel of
                 # N.T @ z0, and the kernels round differently
                 nplus, N = E[idx], E[act].T.copy()
-                z0 = cho_solve(c, nplus, check_finite=False)
-                GiN = cho_solve(c, N, check_finite=False)
+                z0, GiN = GE[i, :, idx], GE[i][:, act]
                 r = np.linalg.solve(N.T @ GiN, N.T @ z0)
                 z = z0 - GiN @ r
                 # the step keeps active entries at zero; pinning them exactly
@@ -245,8 +241,8 @@ def _row_sum(M):
 
 
 def _cho_solve_rows(L, B):
-    """X (n, K, r) with L_i L_i' X_i = B_i, for lower factors L (n, K, K),
-    by forward and back substitution over the K rows. The arithmetic is
+    """X (n, K, r) with L_i L_i' X_i = B_i, for lower factors L (n or 1, K,
+    K), by forward and back substitution over the K rows. The arithmetic is
     elementwise across the stack, so each X_i is what a stack of one gives."""
     K = B.shape[1]
     X = np.empty_like(B)
@@ -295,6 +291,7 @@ def nearest_psd(S) -> np.ndarray:
     elif _is_pd(S):
         return S
     else:
+        from scipy.linalg import eigh
         w, Q = eigh(S, subset_by_value=(-np.inf, 0.0), driver="evr",
                     check_finite=False)
         if w.size == 0:
@@ -311,6 +308,7 @@ def _is_pd(S) -> bool:
     The max absolute row sum bounds every eigenvalue, so success proves the
     smallest eigenvalue of S exceeds tau >= 0, with a margin far above the
     rounding of an eigendecomposition."""
+    from scipy.linalg.lapack import dpotrf
     tau = _PD_GATE * np.abs(S).sum(axis=1).max()
     M = S.copy()
     M.flat[::len(S) + 1] -= tau

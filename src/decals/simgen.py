@@ -17,8 +17,6 @@ replicate that fails numerically is recorded in the report and skipped.
 from __future__ import annotations
 
 import inspect
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -68,6 +66,8 @@ class SimConfig:
             raise ValueError("replicates must be >= 1")
         if self.noise_a0 < 0:
             raise ValueError("noise_a0 must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:     # replicate_rng keys take 64 bits
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("dirichlet_alpha", "scale", "signature_sd"):
             v = np.asarray(getattr(self, name), dtype=float)
             if not (np.isfinite(v) & (v > 0)).all():
@@ -293,6 +293,8 @@ def _map_jobs(fn, jobs, workers: int) -> list:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             return list(pool.map(fn, jobs))

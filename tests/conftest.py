@@ -3,7 +3,8 @@
 The two simplex-LS oracles here are deliberately independent of the package
 solver: a projected-gradient iteration and an exhaustive support enumeration.
 Next to them sit a KKT certificate and the closed-form equality-constrained
-fit, which the interior-optimum checks compare against, and the one-shot
+fit, which the interior-optimum checks compare against, the same fit on a
+solver's final support by scipy's Cholesky solves, and the one-shot
 bias-corrected moment regression that run_decals' recombination must match,
 and the dense subject covariances the GLS tests compare the per-type form with.
 """
@@ -84,6 +85,20 @@ def solve_equality_ls(W, y) -> np.ndarray:
     # guard against rounding in the shift itself
     pi[-1] += 1.0 - pi.sum()
     return pi
+
+
+def cho_support_solution(G, a, pi) -> np.ndarray:
+    """The minimizer of 0.5 x'Gx - a'x with sum(x) = 1 and x = 0 where pi
+    is at most 1e-12 (rounding dust), by scipy's Cholesky solves against G
+    restricted to pi's support: the system an active-set solver that ends
+    on that support has solved."""
+    S = np.flatnonzero(pi > 1e-12)
+    c = cho_factor(np.asarray(G, dtype=float)[np.ix_(S, S)])
+    g = cho_solve(c, np.asarray(a, dtype=float)[S])
+    h = cho_solve(c, np.ones(len(S)))
+    x = np.zeros(len(pi))
+    x[S] = g - h * ((g.sum() - 1.0) / h.sum())
+    return x
 
 
 def kkt_residual(W, y, pi) -> float:

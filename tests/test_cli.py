@@ -588,3 +588,61 @@ def test_public_names_resolve_and_removed_names_are_gone():
                          (covest, "subject_covariance"),
                          (gls, "_sigma_stack")):
         assert not hasattr(module, name), name
+
+
+_START_UP = """
+import json, sys
+import decals, decals.cli
+from decals import cli
+root = sys.argv[1]
+codes = [cli.main(argv) for argv in (
+    ["deconvolve", "--signature", root + "/sig.tsv", "--bulk",
+     root + "/bulk.tsv", "--out", root + "/res"],
+    ["sample", "--results", root + "/res", "--draws", "3", "--out",
+     root + "/draws"],
+    ["aggregate", "--pvalues", root + "/pv.csv", "--draws", "100", "--out",
+     root + "/calls.csv"])]
+loaded = [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+import numpy as np
+from decals import qp, simgen
+rng = np.random.default_rng(0)
+A = rng.normal(size=(600, 600))
+S = qp.nearest_psd(A + A.T)
+report = simgen.coverage_experiment(
+    simgen.SimConfig(p=30, n=20, replicates=1), "gls_oracle")
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "psd": bool(np.linalg.eigvalsh(S)[0] > -1e-9),
+                  "failures": report.failures,
+                  "later": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_the_cli_starts_and_runs_without_scipy_linalg_or_special(tmp_path):
+    # a fresh interpreter imports decals and runs deconvolve below the
+    # partial-eigendecomposition size, with rows that take the active-set
+    # loop, then sample and aggregate, loading neither scipy.linalg nor
+    # scipy.special; a p=600 projection and a GLS arm still load them
+    import subprocess
+    import sys
+
+    from conftest import solve_equality_ls
+    from decals import qp
+    rng = np.random.default_rng(31)
+    p, K, n = 120, 3, 40
+    assert p < qp._PARTIAL_EIG_MIN_P
+    W = rng.uniform(1.0, 5.0, (p, K))
+    P = rng.dirichlet([0.4, 0.4, 0.4], n)
+    Y = W @ P.T + rng.normal(0.0, 0.5, (p, n))
+    assert sum(solve_equality_ls(W, y).min() < 0.0 for y in Y.T) >= 5
+    genes = [f"g{j:03d}" for j in range(p)]
+    _write_tsv(tmp_path / "sig.tsv", ["gene", "A", "B", "C"], genes, W)
+    _write_tsv(tmp_path / "bulk.tsv", ["gene"] + [f"s{i}" for i in range(n)],
+               genes, Y)
+    _write_pvalues(tmp_path / "pv.csv", [("u1", "A", 11, 100)])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _START_UP, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got == {"codes": [EXIT_OK] * 3, "loaded": [], "psd": True,
+                   "failures": [], "later": True}

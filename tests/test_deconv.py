@@ -120,6 +120,37 @@ def test_confidence_interval_values():
         wald_intervals(P, var, 1.5)
 
 
+def test_ndtri_port_gives_scipys_bits():
+    # Cephes ndtri: the central branch for y in (exp(-2), 1 - exp(-2)), the
+    # two tail branches either side of exp(-32), and their mirrors above 0.5
+    from scipy.special import ndtri
+    rng = np.random.default_rng(41)
+    e2, e32 = np.exp(-2.0), np.exp(-32.0)
+    y = np.concatenate([
+        rng.uniform(0.0, 1.0, 40_000),
+        10.0 ** -rng.uniform(0.0, 320.0, 30_000),             # lower tails
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 30_000),        # upper tails
+        np.nextafter([e2, e2, 1 - e2, 1 - e2, e32, e32], [0, 1, 0, 1, 0, 1]),
+        [0.0, 1.0, 0.5, e2, 1 - e2, e32, 5e-324, np.nextafter(1.0, 0.0)]])
+    got = np.array([deconv._ndtri(float(v)) for v in y])
+    assert got.tobytes() == ndtri(y).tobytes()
+    assert (y < e32).sum() > 10_000 and (y > 1 - e2).sum() > 10_000
+    assert [deconv._ndtri(v) for v in (0.0, 1.0)] == [-np.inf, np.inf]
+    assert all(np.isnan(deconv._ndtri(v)) for v in (-0.1, 1.1, np.nan))
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 1 - 1e-15])
+def test_wald_intervals_give_the_scipy_forms_bytes(level):
+    from scipy.special import ndtri
+    rng = np.random.default_rng(42)
+    P = rng.dirichlet([3, 2, 1], 50)
+    var = rng.uniform(-1e-4, 1e-2, P.shape)
+    half = ndtri(0.5 * (1.0 + level)) * np.sqrt(np.clip(var, 0.0, None))
+    lo, hi = wald_intervals(P, var, level)
+    assert lo.tobytes() == np.clip(P - half, 0.0, 1.0).tobytes()
+    assert hi.tobytes() == np.clip(P + half, 0.0, 1.0).tobytes()
+
+
 def test_align_genes_reorders_and_drops():
     rng = np.random.default_rng(7)
     Wv = _sig(rng, 6, 3)

@@ -1,9 +1,11 @@
 """Generalized-least-squares arm: whitening, covariance, iteration."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import enum_simplex_ls, one_sandwich, subject_covariance
@@ -261,23 +263,27 @@ def test_whitening_refuses_a_matrix_the_gate_refuses(at, monkeypatch):
 
 def test_a_factor_that_fails_after_the_gate_raises(monkeypatch):
     # rounding could let Sigma - tau I factor (the gate, qp._is_pd) and
-    # Sigma not; gls.dpotrf sees only that unshifted factor, and its failure
-    # is refused like the gate's. The certificate's shifted factor (no
-    # keywords) is failed as well, so the matrix takes the gate.
+    # Sigma not; the whitening's dpotrf, which gls imports from
+    # scipy.linalg.lapack at each call, sees only that unshifted factor, and
+    # its failure is refused like the gate's. The certificate's shifted
+    # factor (no keywords) is failed as well, so the matrix takes the gate,
+    # whose own factor runs as is.
     rng = np.random.default_rng(25)
     p = 12
     W, pi = _design(rng, p=p)
     y = W @ pi + rng.normal(0, 1, p)
     S = _rand_cov(rng, p)
-    real, calls = gls.dpotrf, []
+    real, calls, gate = scipy.linalg.lapack.dpotrf, [], qp._is_pd.__code__
 
     def unshifted_fails(a, **kwargs):
         c, info = real(a, **kwargs)
+        if sys._getframe(1).f_code is gate:
+            return c, info
         if kwargs:
             calls.append(info)
         return c, 1
 
-    monkeypatch.setattr(gls, "dpotrf", unshifted_fails)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", unshifted_fails)
     gates = _count_gates(monkeypatch)
     with pytest.raises(SingularSigma, match="^matrix 0: subject covariance "
                        "is not positive definite$"):
@@ -371,14 +377,11 @@ def test_stacked_shapes_are_checked():
 
 
 def test_whitening_calls_scipy_on_single_matrices(monkeypatch):
-    # scipy batches its linalg routines over stacks only from 1.15 on
-    import scipy.linalg.lapack
-    fortran = type(scipy.linalg.lapack.dpotrf)
+    # scipy batches its linalg routines over stacks only from 1.15 on; the
+    # whitening imports its two from scipy.linalg.lapack at each call
     seen = []
-    for name, fn in list(vars(gls).items()):
-        if not (isinstance(fn, fortran) or (getattr(fn, "__module__", None)
-                                            or "").startswith("scipy.linalg")):
-            continue
+    for name in ("dpotrf", "dtrtrs"):
+        fn = getattr(scipy.linalg.lapack, name)
 
         def wrapped(*args, _fn=fn, _name=name, **kw):
             arrays = [x for x in (*args, *kw.values())
@@ -386,7 +389,7 @@ def test_whitening_calls_scipy_on_single_matrices(monkeypatch):
             assert all(x.ndim <= 2 for x in arrays), _name
             seen.append(_name)
             return _fn(*args, **kw)
-        monkeypatch.setattr(gls, name, wrapped)
+        monkeypatch.setattr(scipy.linalg.lapack, name, wrapped)
     rng = np.random.default_rng(15)
     p = 16
     W, _ = _design(rng, p=p)
@@ -652,7 +655,8 @@ def test_a_negative_or_non_finite_weight_is_refused(weight, monkeypatch):
     H = P ** 2
     H[4, 2] = weight
     factors = []
-    monkeypatch.setattr(gls, "dpotrf", lambda *a, **k: factors.append(a))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
+                        lambda *a, **k: factors.append(a))
     for fn, args in ((solve_gls, (W, W @ P.T)), (gls_covariance, (W,))):
         with pytest.raises(ValueError) as err:
             fn(*args, Sig, H)

@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from conftest import (enum_simplex_ls, kkt_residual, pg_simplex_ls,
-                      random_instance, solve_equality_ls)
+from conftest import (cho_support_solution, enum_simplex_ls, kkt_residual,
+                      pg_simplex_ls, random_instance, solve_equality_ls)
 from decals import qp
 from decals.errors import (DimensionMismatch, MaxIterations, NonFinite,
                            SingularDesign)
@@ -264,8 +264,9 @@ def test_nearest_psd_clips_a_diagonal_without_lapack(p, case, monkeypatch):
     def lapack(*args, **kwargs):
         raise AssertionError("LAPACK called on a diagonal matrix")
 
-    monkeypatch.setattr(qp, "eigh", lapack)
-    monkeypatch.setattr(qp, "dpotrf", lapack)
+    # qp imports both at their first use, from scipy's own modules
+    monkeypatch.setattr(scipy.linalg, "eigh", lapack)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lapack)
     monkeypatch.setattr(np.linalg, "eigh", lapack)
     got = qp.nearest_psd(S)
     assert got.tobytes() == want.tobytes()
@@ -394,6 +395,36 @@ def test_stacked_normal_equations_equal_one_matrix_solves_bytewise():
             assert np.array_equal(X[i], qp.solve_simplex_normal(G[i], a[i]))
             assert_allclose(X[i], qp.solve_simplex_ls(W[i], Y[i]), atol=1e-12)
     assert qp.solve_simplex_normal(G[:0], a[:0]).shape == (0, 6)
+
+
+@pytest.mark.parametrize("K", [2, 3, 6])
+def test_rows_that_all_take_the_loop_match_one_row_and_cholesky_solves(K):
+    # every row's sum-to-one step leaves the simplex, so every step of the
+    # active set reads G^{-1} E' from the stacked first phase; each row gets
+    # its one-row bytes and, on its final support, the Cholesky solution
+    rng = np.random.default_rng(14 + K)
+    n, p = 40, 30
+    W = rng.normal(0, 1, (n, p, K))
+    V = rng.dirichlet(np.ones(K), n)
+    j = rng.integers(0, K, n)
+    V[np.arange(n), j] -= 1.5                 # on the plane, off the simplex
+    V[np.arange(n), (j + 1) % K] += 1.5
+    Y = np.einsum('npk,nk->np', W, V) + rng.normal(0, 0.3, (n, p))
+    Yl = V @ W[0].T + rng.normal(0, 0.3, (n, p))       # one design, W[0]
+    assert all(solve_equality_ls(W[i], Y[i]).min() < -1e-9 and
+               solve_equality_ls(W[0], Yl[i]).min() < -1e-9 for i in range(n))
+    G = W.transpose(0, 2, 1) @ W
+    a = np.einsum('npk,np->nk', W, Y)
+    X = qp.solve_simplex_normal(G, a)
+    Xl = qp.solve_simplex_ls(W[0], Yl.T)
+    for i in range(n):
+        assert X[i].tobytes() == qp.solve_simplex_normal(G[i], a[i]).tobytes()
+        assert Xl[i].tobytes() == qp.solve_simplex_ls(W[0], Yl[i]).tobytes()
+        assert_allclose(X[i], cho_support_solution(G[i], a[i], X[i]),
+                        rtol=0, atol=1e-14)
+        assert_allclose(Xl[i], cho_support_solution(G[0], W[0].T @ Yl[i],
+                                                    Xl[i]), rtol=0, atol=1e-14)
+        assert_allclose(X[i], enum_simplex_ls(W[i], Y[i]), atol=1e-9)
 
 
 def test_stacked_normal_equations_errors_name_the_matrix():

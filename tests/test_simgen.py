@@ -181,9 +181,14 @@ def _count_datasets(monkeypatch):
      "signature_sd must be finite and > 0, got -1.0"),
     ({"signature_sd": float("inf")}, ValueError,
      "signature_sd must be finite and > 0, got inf"),
+    # a seed outside 64 bits would wrap to another replicate substream
+    ({"seed": -1}, ValueError, "seed must be in [0, 2**64), got -1"),
+    ({"seed": 2 ** 64 + 5}, ValueError,
+     f"seed must be in [0, 2**64), got {2 ** 64 + 5}"),
 ], ids=["K", "alpha-length", "p", "replicates", "noise_a0", "alpha-zero",
         "alpha-nan", "alpha-inf", "scale-negative", "scale-zero", "scale-nan",
-        "signature_sd-negative", "signature_sd-inf"])
+        "signature_sd-negative", "signature_sd-inf", "seed-negative",
+        "seed-wide"])
 def test_sim_config_refuses_a_bad_value_before_any_replicate(
         monkeypatch, bad, error, message):
     # refused where the design is configured, so neither the harness nor
@@ -198,6 +203,10 @@ def test_sim_config_refuses_a_bad_value_before_any_replicate(
         with pytest.raises(error) as err:
             v_error_study(p_values=(30,), n=20, replicates=1,
                           signature_sds=(1.0, bad["signature_sd"]))
+        assert str(err.value) == message
+    if "seed" in bad:
+        with pytest.raises(error) as err:
+            v_error_study(p_values=(30,), n=20, replicates=1, seed=bad["seed"])
         assert str(err.value) == message
     assert calls == []
 
