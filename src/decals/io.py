@@ -9,11 +9,18 @@ they wrote; draw manifests hash those bytes.
 Numeric CSV tables are rendered by a numpy kernel that writes the bytes
 format(v, ".14e") would into fixed-width cells, a block of rows at a time,
 and hands any row it cannot render exactly to format itself. JSON float
-arrays go through one % over a template per matrix. The p-value reader
-parses plain blocks of bytes column-wise in numpy, and hands the rest of a
-file, from its first other block, to csv.reader, which also names a bad
-file's first error. Inputs are UTF-8: `_file_errors` turns a file that cannot
-be read, or is not UTF-8, into a ParseError that names it, for every reader.
+arrays go through one % per matrix over a template built once per array.
+
+The signature, bulk and proportions tables are read by np.loadtxt's C parser
+when the file is plain (one pass, a line at a time); any other file (a
+quote, a ragged or bad line, a failed header check, no data rows, bytes that
+are not UTF-8) goes whole to csv.reader, the only reader of quoted fields and
+the only source of these tables' error messages. Neither path holds a string
+copy of the file. The p-value reader parses plain blocks of bytes
+column-wise in numpy, and hands the rest of a file, from its first other
+block, to csv.reader, which also names a bad file's first error. Inputs are
+UTF-8: `_file_errors` turns a file that cannot be read, or is not UTF-8, into
+a ParseError that names it, for every reader.
 """
 
 from __future__ import annotations
@@ -70,6 +77,8 @@ def _emit_json(obj) -> str:
             return _json_floats(obj)
         return _emit_json(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        if all(isinstance(v, str) for v in obj):
+            return json.dumps(obj)      # each item's json.dumps, ", "-joined
         return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = []
@@ -79,15 +88,21 @@ def _emit_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _nest(shape, cell: str) -> str:
+    """Nested JSON lists of the given shape with `cell` in every place."""
+    for dim in reversed(shape):
+        cell = "[" + ", ".join([cell] * dim) + "]"
+    return cell
+
+
 def _json_floats(a: np.ndarray) -> str:
-    """A float array as nested JSON lists: one % over a template per
-    matrix, so no temporary grows with the number of matrices."""
-    if a.ndim > 2:
-        return "[" + ", ".join(_json_floats(m) for m in a) + "]"
-    tmpl = "%" + JSON_FMT
-    for dim in reversed(a.shape):
-        tmpl = "[" + ", ".join([tmpl] * dim) + "]"
-    text = tmpl % tuple(a.ravel().tolist())
+    """A float array as nested JSON lists. Each trailing matrix goes through
+    one % over a template built once per array, so no template has a place
+    for every cell; the matrices then fill the leading dimensions' lists."""
+    tmpl = _nest(a.shape[-2:], "%" + JSON_FMT)
+    mats = a.reshape(math.prod(a.shape[:-2]), math.prod(a.shape[-2:]))
+    text = _nest(a.shape[:-2], "%s") % tuple(
+        [tmpl % tuple(m) for m in mats.tolist()])
     if not np.isfinite(a).all():      # only numbers in text: swap the tokens
         for tok in ("-inf", "inf", "nan"):
             text = text.replace(tok, "null")
@@ -253,11 +268,64 @@ def _records(path: str, delimiter: str):
         yield from csv.reader(fh, delimiter=delimiter)
 
 
+def _plain_table(path: str, min_cols: int, delimiter: str,
+                 id_header: str | None):
+    """_parse_matrix_tsv's result for a plain file, else None. Plain: UTF-8,
+    no quote or NUL, the csv loop's header checks passed, a data row, each
+    non-blank line as many fields as the header, none over csv's field size
+    limit, and every cell one numpy reads. There csv.reader splits lines as
+    str.split does, universal newlines end them where it does, and numpy
+    reads a cell as float does, bit for bit. The lines stream into one
+    np.loadtxt call, which grows one array."""
+    limit, ids = csv.field_size_limit(), []
+
+    def long_field(line):               # csv.reader raises csv.Error
+        return (len(line) > limit
+                and max(map(len, line.split(delimiter))) > limit)
+
+    def rows(lines, seps):
+        for line in lines:
+            if line == "\n":            # csv.reader reads no record here
+                continue
+            if (line.count(delimiter) != seps or '"' in line or "\0" in line
+                    or long_field(line)):
+                raise ValueError
+            ids.append(line[:line.index(delimiter)])
+            yield line
+        if not ids:
+            raise ValueError            # and loadtxt warns of no data
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            head = fh.readline().removesuffix("\n")
+            header = head.split(delimiter)
+            if ('"' in head or "\0" in head or long_field(head)
+                    or id_header is not None and header[0] != id_header
+                    or len(header) <= min_cols
+                    or any(not c.strip() for c in header)):
+                return None
+            values = np.loadtxt(rows(fh, len(header) - 1),
+                                delimiter=delimiter,
+                                usecols=range(1, len(header)), comments=None,
+                                quotechar=None, ndmin=2)
+    except (OSError, ValueError):       # a UnicodeDecodeError among them
+        return None
+    return ids, header[1:], values
+
+
 def _parse_matrix_tsv(path: str, min_cols: int, delimiter: str = "\t",
                       id_header: str | None = None):
     """(row ids, column names, values) of a table with a header row (led by
-    `id_header` when given), an id column and numeric cells. Each row becomes
-    a float array as it is read, so no string copy of the file is held."""
+    `id_header` when given), an id column and numeric cells.
+
+    A plain file (see _plain_table) is parsed by np.loadtxt. Any other file
+    goes whole to csv.reader, which alone reads quoted fields and the number
+    spellings only float reads (1_0, Unicode digits), and names a bad
+    file's first error; each of its rows becomes a float array as it is
+    read. Neither path holds a string copy of the file."""
+    plain = _plain_table(path, min_cols, delimiter, id_header)
+    if plain is not None:
+        return plain
     rows = _records(path, delimiter)
     header = next(rows, [])
     if id_header is not None and header[:1] != [id_header]:

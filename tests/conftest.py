@@ -7,6 +7,8 @@ fit, which the interior-optimum checks compare against, the same fit on a
 solver's final support by scipy's Cholesky solves, and the one-shot
 bias-corrected moment regression that run_decals' recombination must match,
 and the dense subject covariances the GLS tests compare the per-type form with.
+The JSON float renderer's recursive form, one template and one finiteness
+check per matrix, is kept as the oracle the io module's renderer must match.
 """
 
 import numpy as np
@@ -68,6 +70,21 @@ def subject_covariance(proportions, cts) -> np.ndarray:
     formed at once: the stack the GLS (S, H) form builds a chunk at a time."""
     pi = np.asarray(proportions, dtype=float)
     return np.einsum('...k,kpq->...pq', pi ** 2, np.asarray(cts, dtype=float))
+
+
+def json_floats_oracle(a: np.ndarray) -> str:
+    """A float array as nested JSON lists: one % over a template per
+    matrix, rebuilt for each, with the non-finite tokens swapped per matrix."""
+    if a.ndim > 2:
+        return "[" + ", ".join(json_floats_oracle(m) for m in a) + "]"
+    tmpl = "%.16e"
+    for dim in reversed(a.shape):
+        tmpl = "[" + ", ".join([tmpl] * dim) + "]"
+    text = tmpl % tuple(a.ravel().tolist())
+    if not np.isfinite(a).all():
+        for tok in ("-inf", "inf", "nan"):
+            text = text.replace(tok, "null")
+    return text
 
 
 def solve_equality_ls(W, y) -> np.ndarray:

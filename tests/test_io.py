@@ -19,9 +19,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import json_floats_oracle
 from decals import io
 from decals.downstream import CallDecision, ProportionDrawSet
-from decals.errors import ParseError
+from decals.errors import NonFinite, ParseError
 from decals.io import (
     PVALUE_HEADER,
     atomic_write_text,
@@ -1008,3 +1009,191 @@ def test_float_cast_reads_what_float_reads():
     x = x[np.isfinite(x)]
     reprs = np.array([repr(v).encode() for v in x.tolist()])
     assert reprs.astype(np.float64).tobytes() == x.tobytes()
+
+
+# --- the table reader: a plain file is parsed by np.loadtxt, any other goes
+# whole to the csv.reader loop; both must read the same ids and bits, or
+# raise the same message
+
+TABLES = {  # parser settings per table format
+    "signature": (2, "\t", None),
+    "bulk": (1, "\t", None),
+    "proportions": (1, ",", "sample_id"),
+}
+
+
+@pytest.fixture
+def table_paths(monkeypatch):
+    """Read a table by the plain path first, as the io module does, and by
+    the csv.reader loop alone. Returns (plain-first outcome, csv outcome,
+    whether the plain path read the file); an outcome is (ids, names,
+    value bytes, shape) or the text of the error raised."""
+    def outcome(path, table):
+        try:
+            ids, names, values = io._parse_matrix_tsv(path, *TABLES[table])
+        except (ParseError, csv.Error) as err:
+            return f"{type(err).__name__}: {err}"
+        return ids, names, values.tobytes(), values.shape
+
+    def read(path, table):
+        got = outcome(path, table)
+        plain = io._plain_table(path, *TABLES[table]) is not None
+        with monkeypatch.context() as m:
+            m.setattr(io, "_plain_table", lambda *args: None)
+            return got, outcome(path, table), plain
+
+    return read
+
+
+BODY = "g1\t1.5\t-2e-3\ng#2\t0.25\t3\ng3\t5e-324\t-0.0\n"
+TABLE_FILES = {  # (text, read by the plain path as a bulk matrix)
+    "lf": ("gene\tA\tB\n" + BODY, True),
+    "crlf": (("gene\tA\tB\n" + BODY).replace("\n", "\r\n"), True),
+    "lone-cr": (("gene\tA\tB\n" + BODY).replace("\n", "\r"), True),
+    "mixed-ends": ("gene\tA\tB\r\n\r\rg1\t1\t2\r\r\ng2\t3\t4", True),
+    "no-final-newline": ("gene\tA\tB\n" + BODY[:-1], True),
+    "quoted-id": ('gene\tA\tB\n"g1"\t1\t2\n', False),
+    "quoted-header": ('"gene"\tA\t"B"\ng1\t1\t2\n', False),
+    "quoted-id-tab": ('gene\tA\tB\n"g\t1"\t1\t2\ng2\t3\t4\n', False),
+    "quoted-id-newline": ('gene\tA\tB\n"g\n1"\t1\t2\ng2\t3\t4\n', False),
+    "quoted-number": ('gene\tA\tB\ng1\t"1.5"\t2\n', False),
+    "quote-inside-id": ('gene\tA\tB\ng"1\t1\t2\n', False),
+    "underscore": ("gene\tA\tB\ng1\t1_0\t2\n", False),
+    "unicode-digits": ("gene\tA\tB\ng1\t١.5\t2\n", False),
+    "hash-in-id": ("gene\tA\tB\n#g1\t1\t2\ng#2\t3\t4\n", True),
+    "hash-in-cell": ("gene\tA\tB\ng1\t1\t#2\n", False),
+    "bom": ("﻿gene\tA\tB\n" + BODY, True),
+    "spaced-numbers": ("gene\tA\tB\ng1\t 1.5 \t 2\n", True),
+    "blank-lines": ("gene\tA\tB\n\n" + BODY.replace("\n", "\n\n\n"), True),
+    "blank-first-line": ("\ngene\tA\tB\n" + BODY, False),
+    "whitespace-only-line": ("gene\tA\tB\ng1\t1\t2\n \t\ng2\t3\t4\n", False),
+    "spaces-only-line": ("gene\tA\tB\ng1\t1\t2\n  \n", False),
+    "trailing-tab": ("gene\tA\tB\ng1\t1\t2\t\n", False),
+    "ragged-short": ("gene\tA\tB\ng1\t1\t2\ng2\t3\n", False),
+    "ragged-long": ("gene\tA\tB\ng1\t1\t2\ng2\t3\t4\t5\n", False),
+    "empty-cell": ("gene\tA\tB\ng1\t\t2\n", False),
+    "not-a-number": ("gene\tA\tB\ng1\t1\t2\ng2\t3\tx\n", False),
+    "nan-inf": ("gene\tA\tB\ng1\tnan\t-inf\ng2\tInfinity\t1e999\n", True),
+    "empty-id": ("gene\tA\tB\n\t1\t2\n", True),
+    "nul-in-id": ("gene\tA\tB\ng\x001\t1\t2\n", False),
+    "header-only": ("gene\tA\tB\n", False),
+    "header-only-blank-lines": ("gene\tA\tB\n\n\r\n", False),
+    "empty-file": ("", False),
+    "empty-header-field": ("gene\t\tB\ng1\t1\t2\n", False),
+    "too-few-columns": ("gene\tA\ng1\t1\n", True),
+    "non-utf8": ("gene\tA\tB\ng1\t1\t2\ng\udcff\t1\t2\n", False),
+    "long-id": ("gene\tA\tB\n" + "g" * (csv.field_size_limit() + 1)
+                + "\t1\t2\n", False),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("case", sorted(TABLE_FILES))
+def test_table_paths_read_alike(tmp_path, table_paths, case, table):
+    text, plain = TABLE_FILES[case]
+    if table == "proportions":
+        text = text.replace("\t", ",").replace("gene", "sample_id")
+    path = tmp_path / "table.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    got, want, read_plain = table_paths(str(path), table)
+    assert got == want
+    # a signature needs two cell types; a proportions file's BOM fails its
+    # header check
+    assert read_plain == (plain and not (table == "signature"
+                                         and case == "too-few-columns")
+                          and not (table == "proportions" and case == "bom"))
+
+
+@pytest.mark.parametrize("reader", [read_signature_tsv, read_bulk_tsv])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_cells_reach_nonfinite_on_both_paths(
+        tmp_path, monkeypatch, reader, cell):
+    path = tmp_path / "t.tsv"
+    path.write_text(f"gene\tA\tB\ng1\t1\t2\ng2\t{cell}\t3\n")
+    assert io._plain_table(str(path), 1, "\t", None) is not None
+    with pytest.raises(NonFinite):
+        reader(str(path))
+    monkeypatch.setattr(io, "_plain_table", lambda *args: None)
+    with pytest.raises(NonFinite):
+        reader(str(path))
+
+
+def test_plain_tables_never_build_a_csv_reader(tmp_path, monkeypatch):
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader built")
+
+    rng = np.random.default_rng(3)
+    Y = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7))
+    sig, bulk = tmp_path / "sig.tsv", tmp_path / "bulk.tsv"
+    for path, M in ((sig, Y[:, :3]), (bulk, Y)):
+        path.write_text("\t".join(["gene"] + [f"c{k}" for k in
+                                              range(M.shape[1])]) + "\n"
+                        + "".join(f"g{j}\t" + "\t".join(map(repr, row))
+                                  + "\n" for j, row in enumerate(M.tolist())))
+    props = tmp_path / "p.csv"
+    write_proportions_csv(str(props), [f"s{i}" for i in range(40)],
+                          ["A", "B", "C"], np.abs(Y[:, :3]))
+    monkeypatch.setattr(io.csv, "reader", no_reader)
+    assert read_signature_tsv(str(sig)).values.tobytes() == \
+        Y[:, :3].tobytes()
+    assert read_bulk_tsv(str(bulk)).values.tobytes() == Y.tobytes()
+    ids, cts, P = read_proportions_csv(str(props))
+    assert (ids, cts) == ([f"s{i}" for i in range(40)], ["A", "B", "C"])
+    np.testing.assert_allclose(P, np.abs(Y[:, :3]), rtol=1e-14, atol=0)
+
+
+def test_loadtxt_reads_what_float_reads():
+    # the plain path parses cells with np.loadtxt: where it accepts a cell,
+    # its value must be float's, bit for bit
+    rng = np.random.default_rng(15)
+    bits = rng.integers(0, 2 ** 64 - 1, 30000, np.uint64, endpoint=True)
+    bits[:5000] >>= np.uint64(12)           # positive subnormals
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    hard = ["2.2250738585072011e-308", "2.2250738585072012e-308",
+            "4.9406564584124654e-324", "2.4703282292062328e-324",
+            "9007199254740993", "1.00000000000000011102230246251565404",
+            "0.1e-400", "1e309", "-1e-400", "+.5", "5.", "0e0", "NaN",
+            "-iNf", "infinity", " 7 "]
+    cells = ([repr(v) for v in x.tolist()] + [f"{v:.15e}" for v in
+                                                x.tolist()[:5000]] + hard)
+    want = np.array([float(c) for c in cells])
+    got = np.loadtxt([f"g\t{c}\n" for c in cells], delimiter="\t",
+                     usecols=[1], comments=None, quotechar=None, ndmin=2)
+    assert got.ravel().tobytes() == want.tobytes()
+    alphabet = np.array(list("0123456789.eE+-_naif ١x"))
+    for s in ("".join(rng.choice(alphabet, rng.integers(1, 8)))
+              for _ in range(1500)):
+        try:
+            want = np.float64(float(s)).tobytes()
+        except ValueError:
+            want = None
+        try:
+            got = np.loadtxt([f"g\t{s}\n"], delimiter="\t", usecols=[1],
+                             comments=None, quotechar=None).tobytes()
+        except ValueError:
+            continue                        # the csv.reader loop reads it
+        assert got == want, s
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (4,), (0, 3), (3, 0), (2, 3),
+                                   (0, 3, 3), (2, 0, 3), (6, 3, 3),
+                                   (2, 0, 2, 2), (2, 3, 0, 2), (2, 3, 2, 2)])
+def test_json_floats_match_recursive_oracle(shape):
+    rng = np.random.default_rng(len(shape))
+    a = np.asarray(rng.standard_normal(shape)
+                   * 10.0 ** rng.integers(-300, 300, shape))
+    assert io._json_floats(a) == json_floats_oracle(a)
+    if a.size:
+        a.flat[rng.choice(a.size, min(a.size, 3), replace=False)] = \
+            [np.nan, np.inf, -np.inf][:min(a.size, 3)]
+        assert "null" in io._json_floats(a)
+        assert io._json_floats(a) == json_floats_oracle(a)
+
+
+def test_string_lists_emit_per_item_json():
+    ids = ["s1", "żółw €", "tab\there", 'q"uote', "back\\slash", "\x01",
+           " ", "😀", ""]
+    for obj in (ids, tuple(ids), [], ids[:1], [np.str_("s2"), "s3"]):
+        assert io._emit_json(obj) == \
+            "[" + ", ".join(json.dumps(s) for s in obj) + "]"
